@@ -91,7 +91,10 @@ class PointAnalyze:
     """``cli.analyze_report(OscillatorParams(...))`` at one point per operation."""
 
     round_size = 256
-    tail_pct = 99
+    # p90, as on the other in-process workloads.  About 1 % of these 25 us
+    # operations take a timer tick or a host stall, so p99 sits on the edge
+    # of that share and moves by a third between runs of the same code.
+    tail_pct = 90
     pool_size = 1024
 
     def __init__(self, seed: int, outdir: Path):
