@@ -1,14 +1,12 @@
 """Noncommutative-plane anisotropic oscillator: spectrum and entanglement."""
 
 from .errors import (
-    DegenerateSpectrumError,
     DomainError,
     GridConfigurationError,
     NchoError,
     NumericRangeError,
     SingularConfigurationError,
     SpectrumInconsistencyError,
-    UnsupportedCaseError,
 )
 from .gaussian import (
     CovarianceBlocks,
@@ -43,11 +41,9 @@ from .oscillator import (
     build_omega_matrix,
     energy_level,
     es_closed_form,
-    es_special_cases,
     ground_state_as_gaussian,
     ground_state_lambda_closed,
     ground_state_lambda_numeric,
-    left_eigenvectors,
     mode_spectrum,
 )
 

@@ -7,8 +7,9 @@ Subcommands:
 * ``spectrum`` - energy levels up to a maximum quantum number.
 * ``validate`` - run the numerical oracles against the closed forms.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 singular
-configuration, 4 I/O error, 5 validation failure.
+Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure
+(singular or out-of-range configuration), 4 I/O error, 5 validation
+failure.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ import math
 import sys
 
 from . import gaussian, oracles, oscillator
-from .errors import (
-    DomainError,
-    GridConfigurationError,
-    SingularConfigurationError,
-    SpectrumInconsistencyError,
-)
+from .errors import DomainError, GridConfigurationError, NchoError
 from .oscillator import OscillatorParams
 
 EXIT_OK = 0
@@ -53,7 +49,6 @@ def _param_args(p: argparse.ArgumentParser, alphas: bool = True) -> None:
 def _common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write results to this path instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="json", help="output format")
-    p.add_argument("--tolerance", type=float, default=1e-10, help="comparison tolerance")
     p.add_argument("--config", default=None, help="JSON file whose keys override flags")
 
 
@@ -93,16 +88,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not args.config:
-        return
-    with open(args.config) as fh:
-        overrides = json.load(fh)
+def _config_argv(path: str, args: argparse.Namespace) -> list[str]:
+    """The config file's keys as ``--key=value`` flags for the parser to check."""
+    with open(path) as fh:
+        try:
+            overrides = json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"configuration file {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise DomainError(f"configuration file {path!r} must hold a JSON object")
+    flags = []
     for key, value in overrides.items():
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise DomainError(f"unknown configuration key {key!r}")
-        setattr(args, dest, value)
+        flags.append(f"--{dest.replace('_', '-')}={value}")
+    return flags
 
 
 def _params_from(args: argparse.Namespace) -> OscillatorParams:
@@ -254,26 +255,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
     _emit(_render_flat(payload, args.format), args.output)
     if report.passed:
         return EXIT_OK
-    t = report.thresholds
-    failing = [
-        name
-        for name, value, limit in (
-            ("eigen_residual", report.eigen_residual, t.eigen),
-            ("schrodinger_residual", report.schrodinger_residual, t.schrodinger),
-            ("moment_max_err", report.moment_max_err, t.moments),
-            ("es_spread", report.es_spread, t.es_spread),
-        )
-        if value >= limit
-    ]
-    print(f"validation failed: {', '.join(failing)} above threshold", file=sys.stderr)
+    failing = ", ".join(oracles.failing_checks(report))
+    print(f"validation failed: {failing} above threshold", file=sys.stderr)
     return EXIT_VALIDATION
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
+        if args.config:
+            # Config values go through the parser, so its types and choices
+            # apply; appended flags override the command line.
+            args = parser.parse_args(argv + _config_argv(args.config, args))
         handler = {
             "analyze": cmd_analyze,
             "sweep": cmd_sweep,
@@ -284,8 +279,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, GridConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SingularConfigurationError, SpectrumInconsistencyError) as exc:
-        print(f"singular configuration: {exc}", file=sys.stderr)
+    except NchoError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

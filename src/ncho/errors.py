@@ -21,18 +21,9 @@ class SpectrumInconsistencyError(NchoError):
     """
 
 
-class DegenerateSpectrumError(NchoError):
-    """The two normal-mode frequencies coincide and the eigenvector
-    formulas are singular; use the closed-form ground-state path instead."""
-
-
 class SingularConfigurationError(NchoError):
-    """A denominator or eigenbasis became numerically singular."""
+    """The eigenbasis of the numeric ground-state route became numerically singular."""
 
 
 class GridConfigurationError(NchoError, ValueError):
     """A numerical grid is too small or too coarse for the requested check."""
-
-
-class UnsupportedCaseError(NchoError, ValueError):
-    """Inputs fall outside the restricted domain of a specialized formula."""

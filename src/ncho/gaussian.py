@@ -23,9 +23,6 @@ from .errors import DomainError, NumericRangeError
 # 2x2 symplectic unit.
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-#: Default relative comparison tolerance for consistency checks.
-DEFAULT_TOL = 1e-10
-
 #: Below this distance of Omega from 1/2 the x*ln(x) limit branch is taken.
 OMEGA_LIMIT_GUARD = 1e-15
 

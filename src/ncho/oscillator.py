@@ -11,9 +11,8 @@ theta-dependent cross term.  This module provides:
   motion,
 * the normal-mode frequencies sigma1 >= sigma2 and the energy levels,
 * the ground-state Gaussian exponent matrix (closed form and an
-  independent numeric route through the left eigenvectors),
-* the closed-form Simon functional, its special cases, and the
-  theta -> infinity bounds.
+  independent numeric route through a dense eigensolver),
+* the closed-form Simon functional and the theta -> infinity bounds.
 
 Everything is in hbar = 1 units; theta carries dimension length^2 but all
 inputs are treated as plain numbers.
@@ -21,20 +20,17 @@ inputs are treated as plain numbers.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import gaussian
 from .errors import (
-    DegenerateSpectrumError,
     DomainError,
+    NumericRangeError,
     SingularConfigurationError,
     SpectrumInconsistencyError,
-    UnsupportedCaseError,
 )
 from .gaussian import TwoModeGaussian
 
@@ -165,40 +161,40 @@ def _char_factors(params: OscillatorParams, canon: CanonicalSystem) -> tuple[flo
     """The two positive factors whose product is the quartic constant c.
 
     c1 = w2^2 - theta^2*(M1/M2)*alpha2^2 and
-    c2 = w1^2 - theta^2*(M2/M1)*alpha1^2.  Both reduce to
-    2*alpha_i/m_i * (M_j/M_i-weighted) combinations that stay positive for
-    every valid parameter set.
+    c2 = w1^2 - theta^2*(M2/M1)*alpha1^2.  Substituting 1/M1 and 1/M2
+    turns the differences into the products used here,
+    c1 = 2*alpha2*M1/(m1*M2) and c2 = 2*alpha1*M2/(m2*M1), which do not
+    cancel at large theta; c = 4*alpha1*alpha2/(m1*m2) for every theta.
     """
-    th2 = params.theta * params.theta
-    c1 = canon.omega2_sq - th2 * (canon.big_m1 / canon.big_m2) * params.alpha2**2
-    c2 = canon.omega1_sq - th2 * (canon.big_m2 / canon.big_m1) * params.alpha1**2
+    ratio = canon.big_m1 / canon.big_m2
+    c1 = 2 * params.alpha2 * ratio / params.m1
+    c2 = 2 * params.alpha1 / (params.m2 * ratio)
     return c1, c2
 
 
-def mode_spectrum(params: OscillatorParams, tol: float = DEGENERACY_TOL) -> ModeSpectrum:
+def mode_spectrum(params: OscillatorParams) -> ModeSpectrum:
     """Normal-mode frequencies from the characteristic quartic.
 
     sigma_{1,2} = sqrt((b +- sqrt(D))/2) with D = b^2 - 4c.  A negative D
-    beyond ``tol * b^2`` is impossible for valid parameters and raises
-    ``SpectrumInconsistencyError``; a tiny |D| is clamped to zero and the
-    spectrum flagged degenerate.
+    beyond ``DEGENERACY_TOL * b^2`` is impossible for valid parameters and
+    raises ``SpectrumInconsistencyError``; a tiny |D| is clamped to zero
+    and the spectrum flagged degenerate.  Raises ``NumericRangeError`` when
+    theta is so large that b^2 overflows.
     """
     canon = bopp_shift(params)
-    b = canon.omega1_sq + canon.omega2_sq + 2 * params.theta**2 * params.alpha1 * params.alpha2
+    th2 = params.theta * params.theta
+    b = canon.omega1_sq + canon.omega2_sq + 2 * th2 * params.alpha1 * params.alpha2
+    if not math.isfinite(b * b):
+        raise NumericRangeError(f"quartic coefficient b = {b} overflows b^2 for params {params}")
     c1, c2 = _char_factors(params, canon)
     c = c1 * c2
-    if c <= 0:
-        raise SpectrumInconsistencyError(
-            f"quartic constant c = {c} <= 0 for params {params}; "
-            "this cannot occur for valid inputs"
-        )
     d = b * b - 4 * c
     degenerate = False
-    if d < -tol * b * b:
+    if d < -DEGENERACY_TOL * b * b:
         raise SpectrumInconsistencyError(
             f"discriminant D = {d} < 0 beyond tolerance for params {params}"
         )
-    if abs(d) <= tol * b * b:
+    if abs(d) <= DEGENERACY_TOL * b * b:
         d = 0.0
         degenerate = True
     sigma1 = math.sqrt((b + math.sqrt(d)) / 2)
@@ -213,77 +209,6 @@ def energy_level(spectrum: ModeSpectrum, n1: int, n2: int) -> float:
     if n1 < 0 or n2 < 0 or n1 != int(n1) or n2 != int(n2):
         raise DomainError(f"quantum numbers must be nonnegative integers, got ({n1}, {n2})")
     return spectrum.sigma1 * (n1 + 0.5) + spectrum.sigma2 * (n2 + 0.5)
-
-
-def _u_raw(params: OscillatorParams, canon: CanonicalSystem, sigma: float) -> np.ndarray:
-    """Unnormalized left eigenvector of the dynamical matrix for eigenvalue -i*sigma."""
-    m1, m2 = canon.big_m1, canon.big_m2
-    a1, a2, th = params.alpha1, params.alpha2, params.theta
-    w2s = canon.omega2_sq
-    s2 = sigma * sigma
-    return np.array(
-        [
-            -1j * m1 * m2 * sigma * (s2 - w2s - th * th * a1 * a2),
-            m2 * (s2 - w2s) + th * th * m1 * a2 * a2,
-            th * m1 * m2 * a2 * (s2 - th * th * a1 * a2) + th * m2 * m2 * a1 * w2s,
-            1j * th * sigma * (m1 * a2 + m2 * a1),
-        ]
-    )
-
-
-def right_from_left(u: np.ndarray) -> np.ndarray:
-    """Right eigenvector paired with a left eigenvector: v = -Sigma_y u^dagger."""
-    # Sigma_y = -i * (i Sigma_y), so -Sigma_y u* = i * (i Sigma_y) u*.
-    return 1j * (_I_SIGMA_Y @ np.conj(u))
-
-
-def left_eigenvectors(
-    params: OscillatorParams, spectrum: ModeSpectrum
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized left eigenvectors (u1, u2) of the dynamical matrix.
-
-    u_i satisfies u_i @ Omega = -i*sigma_i*u_i and is scaled so that the
-    biorthonormality u_i . v_j = delta_ij holds with v_i = -Sigma_y u_i^dagger.
-    Returns an array of shape (2, 4) with the eigenvector rows and the
-    array of the two normalization constants k_i.
-
-    Raises ``DegenerateSpectrumError`` when sigma1 = sigma2 (the component
-    formulas are singular there; the closed-form ground-state path stays
-    finite and should be used instead).
-    """
-    if spectrum.degenerate:
-        raise DegenerateSpectrumError(
-            "eigenvector formulas are singular for a degenerate spectrum; "
-            "use ground_state_lambda_closed"
-        )
-    canon = bopp_shift(params)
-    rows = []
-    ks = []
-    for sigma in (spectrum.sigma1, spectrum.sigma2):
-        u = _u_raw(params, canon, sigma)
-        scale = np.abs(u).max()
-        if scale == 0:
-            raise DegenerateSpectrumError(
-                "eigenvector formula degenerates to the zero vector for "
-                f"sigma = {sigma}; use ground_state_lambda_closed"
-            )
-        q = (u @ right_from_left(u)).real
-        if q <= 0:
-            raise SingularConfigurationError(
-                f"eigenvector pairing u.v = {q} is not positive for sigma = {sigma}"
-            )
-        k = math.sqrt(q)
-        u = u / k
-        # Phase convention: first nonzero component has argument in (-pi/2, pi/2].
-        for comp in u:
-            if abs(comp) > 1e-12 * np.abs(u).max():
-                phi = cmath.phase(comp)
-                if not (-math.pi / 2 < phi <= math.pi / 2):
-                    u = -u
-                break
-        rows.append(u)
-        ks.append(k)
-    return np.array(rows), np.array(ks)
 
 
 def ground_state_lambda_closed(
@@ -310,13 +235,6 @@ def ground_state_lambda_closed(
     """
     canon = bopp_shift(params)
     c1, c2 = _char_factors(params, canon)
-    den_scale = abs(canon.big_m2 * canon.omega2_sq) + abs(
-        canon.big_m2 * spectrum.sigma1 * spectrum.sigma2
-    ) + abs(params.theta**2 * canon.big_m1 * params.alpha2**2)
-    if c1 <= 0 or c2 <= 0 or canon.big_m2 * c1 < 1e-12 * den_scale:
-        raise SingularConfigurationError(
-            f"ground-state denominator is singular for params {params}"
-        )
     r1, r2 = math.sqrt(c1), math.sqrt(c2)
     sig_sum = spectrum.sigma1 + spectrum.sigma2
     lam11 = canon.big_m1 * r2 * sig_sum / (r1 + r2)
@@ -347,7 +265,7 @@ def ground_state_lambda_numeric(params: OscillatorParams) -> GroundStateLambda:
     the closed forms.
     """
     omega = build_omega_matrix(params)
-    evals, vl = scipy.linalg.eig(omega.T)
+    evals, vl = np.linalg.eig(omega.T)
     order = np.argsort(evals.imag)
     neg = order[:2]  # the two eigenvalues -i*sigma_i
     u = vl[:, neg].T
@@ -393,37 +311,6 @@ def es_closed_form(params: OscillatorParams) -> float:
     y = math.sqrt(params.alpha2 * params.m1)
     th2 = params.theta * params.theta
     return -(th2 / 8) * x * y * (x - y) ** 2 / (2 * th2 * x * x * y * y + (x + y) ** 2)
-
-
-def es_special_cases(params: OscillatorParams) -> float:
-    """Reduced E_S formulas for equal stiffness or equal mass.
-
-    Case (i), alpha1 = alpha2: an oscillator with unequal masses, the
-    noncommutative analogue of a charged particle in a transverse field.
-    Case (ii), m1 = m2: a conventional anisotropic oscillator.  Raises
-    ``UnsupportedCaseError`` when neither applies.
-    """
-    th2 = params.theta * params.theta
-    if params.alpha1 == params.alpha2:
-        a = params.alpha1
-        m1, m2 = params.m1, params.m2
-        return (
-            -(th2 * a * m1 * m2 / (8 * math.sqrt(m1 * m2)))
-            * (math.sqrt(m1) - math.sqrt(m2)) ** 2
-            / (2 * th2 * a * m1 * m2 + (math.sqrt(m1) + math.sqrt(m2)) ** 2)
-        )
-    if params.m1 == params.m2:
-        m = params.m1
-        a1, a2 = params.alpha1, params.alpha2
-        return (
-            -(th2 * m * a1 * a2 / (8 * math.sqrt(a1 * a2)))
-            * (math.sqrt(a1) - math.sqrt(a2)) ** 2
-            / (2 * th2 * m * a1 * a2 + (math.sqrt(a1) + math.sqrt(a2)) ** 2)
-        )
-    raise UnsupportedCaseError(
-        "special-case formulas require alpha1 == alpha2 or m1 == m2; "
-        "use es_closed_form for generic parameters"
-    )
 
 
 def asymptotic_bounds(params: OscillatorParams) -> AsymptoticBounds:

@@ -26,6 +26,7 @@ from ncho import (
     schrodinger_residual,
     simon_es,
 )
+from ncho.oracles import expected_eigenvalues, moment_max_err
 from support import fig1, random_params, random_state
 
 
@@ -129,13 +130,7 @@ def test_05_spectrum_oracle():
         p = random_params(rng)
         s = mode_spectrum(p)
         evals = numeric_eigenvalues(build_omega_matrix(p))
-        expected = np.array(
-            sorted(
-                [-1j * s.sigma1, -1j * s.sigma2, 1j * s.sigma2, 1j * s.sigma1],
-                key=lambda z: (z.imag, z.real),
-            )
-        )
-        ok = ok and np.abs(evals - expected).max() < 1e-8 * s.sigma1
+        ok = ok and np.abs(evals - expected_eigenvalues(s)).max() < 1e-8 * s.sigma1
         ok = ok and abs(s.sigma1**2 + s.sigma2**2 - s.b) < 1e-10 * s.b
         ok = ok and abs(s.sigma1**2 * s.sigma2**2 - s.c) < 1e-10 * s.c
     report(5, "dynamical-matrix spectrum oracle", ok)
@@ -163,18 +158,8 @@ def test_07_covariance_quadrature():
     ok = True
     for _ in range(50):
         state = random_state(rng)
-        closed = covariance_blocks(state)
-        quad = gaussian_moment_quadrature(state, grid)
-        scale = max(
-            np.abs(closed.a_block).max(),
-            np.abs(closed.b_block).max(),
-            np.abs(closed.c_block).max(),
-        )
-        for name in ("a_block", "b_block", "c_block"):
-            c = getattr(closed, name)
-            q = getattr(quad, name)
-            err = np.abs(q - c) / np.maximum(np.abs(c), 1e-3 * scale)
-            ok = ok and err.max() < 1e-6
+        err = moment_max_err(covariance_blocks(state), gaussian_moment_quadrature(state, grid))
+        ok = ok and err < 1e-6
     report(7, "covariance closed forms vs quadrature", ok)
 
 

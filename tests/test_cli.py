@@ -1,6 +1,11 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,15 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exit_code(capsys, *argv):
+    """The process exit code of ``ncho ARGV``: argparse rejects bad flags by SystemExit."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
 
 
 FIG1_FLAGS = ["--m1", "1", "--m2", "1", "--alpha1", "5", "--alpha2", "10"]
@@ -53,6 +67,20 @@ class TestAnalyze:
         cols = dict(zip(header.split(","), values.split(",")))
         assert float(cols["e_s"]) == pytest.approx(-0.005871454297898655, rel=1e-10)
         assert cols["separable"] == "False"
+
+    @pytest.mark.parametrize("theta", ["1e3", "1e6", "1e8", "1e12", "1e50"])
+    def test_large_theta(self, capsys, theta):
+        code, out, _ = run(capsys, "analyze", *FIG1_FLAGS, "--theta", theta)
+        assert code == 0
+        report = json.loads(out)
+        # sigma1*sigma2 = sqrt(c) = 2 sqrt(alpha1 alpha2 / (m1 m2)) for every theta
+        assert report["sigma1"] * report["sigma2"] == pytest.approx(2 * math.sqrt(50), rel=1e-14)
+
+    @pytest.mark.parametrize("theta", ["1e76", "1e160"])
+    def test_overflowing_theta_exits_3(self, capsys, theta):
+        code, _, err = run(capsys, "analyze", *FIG1_FLAGS, "--theta", theta)
+        assert code == 3
+        assert "Traceback" not in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -185,6 +213,33 @@ class TestPlumbing:
         code, _, err = run(capsys, "analyze", "--config", str(cfg))
         assert code == 2
         assert "not_a_flag" in err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("analyze", "[1, 2]"),
+            ("analyze", '{"theta": 1'),
+            ("sweep", '{"steps": 2.5}'),
+            ("analyze", '{"command": "bogus"}'),
+            ("analyze", '{"theta": true}'),
+        ],
+    )
+    def test_bad_config_exits_2(self, capsys, tmp_path, command, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        argv = [command, "--config", str(cfg)]
+        if command == "sweep":
+            argv += ["--kind", "theta", "--start", "0", "--stop", "1", "--steps", "3"]
+        code, err = exit_code(capsys, *argv)
+        assert code == 2
+        assert "error" in err
+
+    def test_import_needs_no_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        check = "import ncho, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_twelve_significant_digits(self, capsys):
         _, out, _ = run(capsys, "analyze", *FIG1_FLAGS, "--theta", "1", "--format", "csv")

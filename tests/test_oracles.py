@@ -22,6 +22,7 @@ from ncho import (
     run_validation,
     schrodinger_residual,
 )
+from ncho.oracles import expected_eigenvalues, failing_checks
 from support import fig1, random_params
 
 UNIT = OscillatorParams(1, 1, 0.5, 0.5, 0)
@@ -67,13 +68,7 @@ class TestNumericEigenvalues:
             p = random_params(rng)
             s = mode_spectrum(p)
             evals = numeric_eigenvalues(build_omega_matrix(p))
-            expected = np.array(
-                sorted(
-                    [-1j * s.sigma1, -1j * s.sigma2, 1j * s.sigma2, 1j * s.sigma1],
-                    key=lambda z: (z.imag, z.real),
-                )
-            )
-            assert np.abs(evals - expected).max() < 1e-10 * s.sigma1
+            assert np.abs(evals - expected_eigenvalues(s)).max() < 1e-10 * s.sigma1
             assert np.abs(evals.real).max() < 1e-10 * s.sigma1
 
     def test_scaling_linearity(self):
@@ -178,4 +173,6 @@ class TestRunValidation:
 
     def test_custom_thresholds(self):
         strict = ValidationThresholds(schrodinger=1e-6)
-        assert not run_validation(fig1(1.0), thresholds=strict).passed
+        report = run_validation(fig1(1.0), thresholds=strict)
+        assert not report.passed
+        assert failing_checks(report) == ["schrodinger_residual"]

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from ncho import (
-    DegenerateSpectrumError,
     DomainError,
     GroundStateLambda,
     OscillatorParams,
-    UnsupportedCaseError,
     anisotropy_ratio,
     asymptotic_bounds,
     bopp_shift,
@@ -20,15 +18,13 @@ from ncho import (
     energy_level,
     entanglement_of_formation,
     es_closed_form,
-    es_special_cases,
     ground_state_as_gaussian,
     ground_state_lambda_closed,
     ground_state_lambda_numeric,
-    left_eigenvectors,
     mode_spectrum,
     simon_es,
 )
-from ncho.oscillator import _I_SIGMA_Y, right_from_left
+from ncho.oscillator import _I_SIGMA_Y
 from support import fig1, random_params
 
 
@@ -210,40 +206,6 @@ class TestEnergyLevels:
             energy_level(s, -1, 0)
 
 
-class TestLeftEigenvectors:
-    def test_eigen_equation_and_biorthonormality(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            p = random_params(rng, theta_low=0.05)
-            s = mode_spectrum(p)
-            u, k = left_eigenvectors(p, s)
-            om = build_omega_matrix(p)
-            for i, sigma in enumerate((s.sigma1, s.sigma2)):
-                resid = np.abs(u[i] @ om + 1j * sigma * u[i]).max()
-                assert resid < 1e-10 * sigma * np.abs(u[i]).max()
-            for i in range(2):
-                for j in range(2):
-                    dot = u[i] @ right_from_left(u[j])
-                    assert abs(dot - (1.0 if i == j else 0.0)) < 1e-10
-                    assert abs(np.conj(u[i]) @ right_from_left(u[j])) < 1e-10
-            assert np.all(k > 0)
-
-    def test_phase_convention(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            p = random_params(rng, theta_low=0.05)
-            u, _ = left_eigenvectors(p, mode_spectrum(p))
-            for row in u:
-                lead = row[np.abs(row) > 1e-12 * np.abs(row).max()][0]
-                phase = math.atan2(lead.imag, lead.real)
-                assert -math.pi / 2 < phase <= math.pi / 2 + 1e-12
-
-    def test_degenerate_spectrum_rejected(self):
-        p = OscillatorParams(1, 1, 0.5, 0.5, 0)
-        with pytest.raises(DegenerateSpectrumError):
-            left_eigenvectors(p, mode_spectrum(p))
-
-
 class TestGroundStateLambda:
     def test_commutative_widths(self):
         p = fig1(0.0)
@@ -336,11 +298,11 @@ class TestGroundStateAsGaussian:
             assert state.gamma.real == 0
 
     def test_pipeline_matches_closed_form(self):
-        p = fig1(1.0)
-        state = ground_state_as_gaussian(ground_state_lambda_closed(p, mode_spectrum(p)))
-        assert simon_es(covariance_blocks(state)) == pytest.approx(
-            es_closed_form(p), rel=1e-12
-        )
+        for p in (fig1(1.0), OscillatorParams(1, 2, 3, 3, 1)):
+            state = ground_state_as_gaussian(ground_state_lambda_closed(p, mode_spectrum(p)))
+            assert simon_es(covariance_blocks(state)) == pytest.approx(
+                es_closed_form(p), rel=1e-12
+            )
 
 
 class TestSimonClosedForm:
@@ -354,22 +316,8 @@ class TestSimonClosedForm:
         assert es_closed_form(fig1(1.0)) == pytest.approx(-0.005871454297898655, rel=1e-13)
 
     def test_matched_ratio_is_separable(self):
-        assert es_closed_form(OscillatorParams(1, 4, 1, 4, 2)) == 0
-
-    def test_special_case_equal_stiffness(self):
-        p = OscillatorParams(1, 2, 3, 3, 1)
-        assert es_special_cases(p) == pytest.approx(es_closed_form(p), rel=1e-13)
-
-    def test_special_case_equal_mass(self):
-        p = fig1(1.0)
-        assert es_special_cases(p) == pytest.approx(-0.005871454297898655, rel=1e-13)
-
-    def test_fully_isotropic(self):
-        assert es_special_cases(OscillatorParams(1, 1, 2, 2, 3)) == 0
-
-    def test_unsupported_case(self):
-        with pytest.raises(UnsupportedCaseError):
-            es_special_cases(OscillatorParams(1, 2, 3, 4, 1))
+        for p in (OscillatorParams(1, 4, 1, 4, 2), OscillatorParams(1, 1, 2, 2, 3)):
+            assert es_closed_form(p) == 0
 
     def test_interchange_symmetry(self):
         rng = np.random.default_rng(12)
