@@ -15,6 +15,7 @@ from .gaussian import (
     covariance_blocks,
     entanglement_of_formation,
     entanglement_report,
+    formation_columns,
     normalization,
     simon_es,
     simon_es_closed,
@@ -40,6 +41,7 @@ from .oscillator import (
     build_h_matrix,
     build_omega_matrix,
     energy_level,
+    entanglement_columns,
     es_closed_form,
     ground_state_as_gaussian,
     ground_state_lambda_closed,

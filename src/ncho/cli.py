@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+
+import numpy as np
 
 from . import gaussian, oracles, oscillator
 from .errors import DomainError, GridConfigurationError, NchoError
@@ -174,50 +175,38 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def sweep_rows(kind: str, start: float, stop: float, steps: int,
                m1: float, m2: float, alpha1: float, alpha2: float,
-               theta: float, product: float) -> list[dict]:
-    """Evaluate one sweep; each row carries the CSV column quantities."""
+               theta: float, product: float) -> dict[str, np.ndarray]:
+    """Evaluate one sweep as columns, keyed and ordered as the CSV header."""
     if steps < 2 or not (start < stop):
         raise DomainError(f"need start < stop and steps >= 2, got [{start}, {stop}] x {steps}")
     if kind == "ratio" and start <= 0:
         raise DomainError("ratio sweeps require start > 0")
-    rows = []
-    for i in range(steps):
-        value = start + (stop - start) * i / (steps - 1)
+    # A negative, NaN or overflowing value becomes an invalid input, which
+    # entanglement_columns rejects.
+    with np.errstate(all="ignore"):
+        value = start + (stop - start) * np.arange(steps) / (steps - 1)
         if kind == "theta":
-            params = OscillatorParams(m1=m1, m2=m2, alpha1=alpha1, alpha2=alpha2, theta=value)
+            theta = value
         else:
             # Fix alpha1*alpha2 = product and set the anisotropy ratio to the
             # sweep value; with r = (a1/m1)/(a2/m2) this pins a1 uniquely.
-            a1 = math.sqrt(product * value * m1 / m2)
-            params = OscillatorParams(m1=m1, m2=m2, alpha1=a1, alpha2=product / a1, theta=theta)
-        spec = oscillator.mode_spectrum(params)
-        e_s = oscillator.es_closed_form(params)
-        omega, e_f = gaussian.entanglement_of_formation(e_s)
-        rows.append(
-            {
-                "sweep_value": value,
-                "e_s": e_s,
-                "omega": omega,
-                "e_f": e_f,
-                "sigma1": spec.sigma1,
-                "sigma2": spec.sigma2,
-            }
-        )
-    return rows
+            alpha1 = np.sqrt(product * value * m1 / m2)
+            alpha2 = product / alpha1
+    return {"sweep_value": value, **oscillator.entanglement_columns(m1, m2, alpha1, alpha2, theta)}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = sweep_rows(
+    cols = sweep_rows(
         args.kind, args.start, args.stop, args.steps,
         args.m1, args.m2, args.alpha1, args.alpha2, args.theta, args.product,
     )
+    keys = SWEEP_HEADER.split(",")
+    rows = zip(*(cols[k].tolist() for k in keys))
     if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
     else:
-        lines = [SWEEP_HEADER]
-        for row in rows:
-            lines.append(",".join(_fmt(row[k]) for k in SWEEP_HEADER.split(",")))
-        text = "\n".join(lines) + "\n"
+        line = ",".join(["%.12g"] * len(keys))  # _fmt's format
+        text = "\n".join([SWEEP_HEADER] + [line % row for row in rows]) + "\n"
     _emit(text, args.output)
     return EXIT_OK
 

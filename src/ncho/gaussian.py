@@ -160,6 +160,24 @@ def simon_es_closed(state: TwoModeGaussian) -> float:
     return -0.25 * (g1 * g1 + g2 * g2) / state.delta_sq
 
 
+def _omega(e_s, xp):
+    """Omega = sqrt(1/4 - E_S), on floats (xp = math) or arrays (xp = numpy)."""
+    return xp.sqrt(0.25 - e_s)
+
+
+def _formation(omega, xp):
+    """E_F at Omega > 1/2, on floats (xp = math) or arrays (xp = numpy)."""
+    t = omega - 0.5
+    return (omega + 0.5) * xp.log(omega + 0.5) - t * xp.log(t)
+
+
+def _positive_es(e_s: float) -> DomainError:
+    return DomainError(
+        f"E_S = {e_s} > 0: the pure-state Simon functional is never positive; "
+        "a positive value indicates a broken covariance computation upstream"
+    )
+
+
 def entanglement_of_formation(e_s: float) -> tuple[float, float]:
     """(Omega, E_F) from the Simon functional of a pure two-mode Gaussian.
 
@@ -171,16 +189,27 @@ def entanglement_of_formation(e_s: float) -> tuple[float, float]:
     Omega -> 1/2 limit is taken continuously, so E_F(0) = 0 exactly.
     """
     if e_s > 0:
-        raise DomainError(
-            f"E_S = {e_s} > 0: the pure-state Simon functional is never positive; "
-            "a positive value indicates a broken covariance computation upstream"
-        )
-    omega = math.sqrt(0.25 - e_s)
-    t = omega - 0.5
-    if t < OMEGA_LIMIT_GUARD:
+        raise _positive_es(e_s)
+    omega = _omega(e_s, math)
+    if omega - 0.5 < OMEGA_LIMIT_GUARD:
         return omega, 0.0
-    e_f = (omega + 0.5) * math.log(omega + 0.5) - t * math.log(t)
-    return omega, e_f
+    return omega, _formation(omega, math)
+
+
+def formation_columns(e_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``entanglement_of_formation`` on an array of E_S values: (Omega, E_F) arrays.
+
+    The same closed forms and the same limit branch; raises the same
+    ``DomainError`` if any E_S is positive.
+    """
+    positive = e_s > 0
+    if positive.any():
+        raise _positive_es(e_s[positive][0])
+    omega = _omega(e_s, np)
+    limit = omega - 0.5 < OMEGA_LIMIT_GUARD
+    # Omega = 3/2 stands in on the limit rows so the logarithms stay finite;
+    # their E_F is then set to 0.
+    return omega, np.where(limit, 0.0, _formation(np.where(limit, 1.5, omega), np))
 
 
 def entanglement_report(state: TwoModeGaussian) -> EntanglementReport:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,6 +37,16 @@ from .gaussian import TwoModeGaussian
 
 #: Relative tolerance used to clamp a tiny discriminant to the degenerate case.
 DEGENERACY_TOL = 1e-12
+
+#: What the float path passes as ``xp`` to the closed-form helpers below, which
+#: the array path calls with numpy.  These two-float minimum and maximum are
+#: several times faster than the builtins and, like numpy's, keep a NaN in
+#: the first argument.
+_FLOAT_OPS = SimpleNamespace(
+    sqrt=math.sqrt,
+    minimum=lambda a, b: b if b < a else a,
+    maximum=lambda a, b: b if b > a else a,
+)
 
 # i * Sigma_y with Sigma_y = diag(sigma_y, sigma_y); entries are exactly +-1.
 _I_SIGMA_Y = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -116,21 +127,26 @@ class AsymptoticBounds:
     e_f_bound: float
 
 
+def _canonical(m1, m2, alpha1, alpha2, th2) -> CanonicalSystem:
+    """The Bopp shift (see ``bopp_shift``) on floats or arrays; th2 = theta^2."""
+    inv_m1 = 1.0 / m1 + alpha2 * th2 / 2.0
+    inv_m2 = 1.0 / m2 + alpha1 * th2 / 2.0
+    return CanonicalSystem(
+        big_m1=1.0 / inv_m1,
+        big_m2=1.0 / inv_m2,
+        omega1_sq=2.0 * alpha1 * inv_m1,
+        omega2_sq=2.0 * alpha2 * inv_m2,
+    )
+
+
 def bopp_shift(params: OscillatorParams) -> CanonicalSystem:
     """Effective masses and frequencies of the canonical Hamiltonian.
 
     1/M1 = 1/m1 + alpha2*theta^2/2, 1/M2 = 1/m2 + alpha1*theta^2/2 and
     omega_i^2 = 2*alpha_i/M_i.  Positivity is automatic for valid inputs.
     """
-    th2 = params.theta * params.theta
-    inv_m1 = 1.0 / params.m1 + params.alpha2 * th2 / 2.0
-    inv_m2 = 1.0 / params.m2 + params.alpha1 * th2 / 2.0
-    return CanonicalSystem(
-        big_m1=1.0 / inv_m1,
-        big_m2=1.0 / inv_m2,
-        omega1_sq=2.0 * params.alpha1 * inv_m1,
-        omega2_sq=2.0 * params.alpha2 * inv_m2,
-    )
+    p = params
+    return _canonical(p.m1, p.m2, p.alpha1, p.alpha2, p.theta * p.theta)
 
 
 def build_h_matrix(params: OscillatorParams) -> np.ndarray:
@@ -157,7 +173,7 @@ def build_omega_matrix(params: OscillatorParams) -> np.ndarray:
     return _I_SIGMA_Y @ build_h_matrix(params)
 
 
-def _char_factors(params: OscillatorParams, canon: CanonicalSystem) -> tuple[float, float]:
+def _char_factors(m1, m2, alpha1, alpha2, canon: CanonicalSystem):
     """The two positive factors whose product is the quartic constant c.
 
     c1 = w2^2 - theta^2*(M1/M2)*alpha2^2 and
@@ -165,11 +181,38 @@ def _char_factors(params: OscillatorParams, canon: CanonicalSystem) -> tuple[flo
     turns the differences into the products used here,
     c1 = 2*alpha2*M1/(m1*M2) and c2 = 2*alpha1*M2/(m2*M1), which do not
     cancel at large theta; c = 4*alpha1*alpha2/(m1*m2) for every theta.
+    Floats or arrays.
     """
     ratio = canon.big_m1 / canon.big_m2
-    c1 = 2 * params.alpha2 * ratio / params.m1
-    c2 = 2 * params.alpha1 / (params.m2 * ratio)
+    c1 = 2 * alpha2 * ratio / m1
+    c2 = 2 * alpha1 / (m2 * ratio)
     return c1, c2
+
+
+def _quartic_b(alpha1, alpha2, th2, canon: CanonicalSystem):
+    """b of the quartic lambda^4 + b*lambda^2 + c, on floats or arrays."""
+    return canon.omega1_sq + canon.omega2_sq + 2 * th2 * alpha1 * alpha2
+
+
+def _quartic_c_d(m1, m2, alpha1, alpha2, canon: CanonicalSystem, b):
+    """c and the discriminant D = b^2 - 4c of the quartic, on floats or arrays.
+
+    Only for a b whose square is finite: the float path divides by zero
+    where b^2 overflows.
+    """
+    c1, c2 = _char_factors(m1, m2, alpha1, alpha2, canon)
+    c = c1 * c2
+    return c, b * b - 4 * c
+
+
+def _mode_frequencies(b, c, d, xp):
+    """sigma1 = sqrt((b + sqrt(D))/2) and sigma2 = sqrt(c)/sigma1.
+
+    sigma2 comes from the root product: sqrt((b - sqrt(D))/2) cancels badly
+    when c << b^2, while c is built from two exact positive factors.
+    """
+    sigma1 = xp.sqrt((b + xp.sqrt(d)) / 2)
+    return sigma1, xp.sqrt(c) / sigma1
 
 
 def mode_spectrum(params: OscillatorParams) -> ModeSpectrum:
@@ -181,27 +224,29 @@ def mode_spectrum(params: OscillatorParams) -> ModeSpectrum:
     and the spectrum flagged degenerate.  Raises ``NumericRangeError`` when
     theta is so large that b^2 overflows.
     """
-    canon = bopp_shift(params)
-    th2 = params.theta * params.theta
-    b = canon.omega1_sq + canon.omega2_sq + 2 * th2 * params.alpha1 * params.alpha2
+    p = params
+    canon = bopp_shift(p)
+    b = _quartic_b(p.alpha1, p.alpha2, p.theta * p.theta, canon)
     if not math.isfinite(b * b):
-        raise NumericRangeError(f"quartic coefficient b = {b} overflows b^2 for params {params}")
-    c1, c2 = _char_factors(params, canon)
-    c = c1 * c2
-    d = b * b - 4 * c
-    degenerate = False
+        raise _b_overflow(b, params)
+    c, d = _quartic_c_d(p.m1, p.m2, p.alpha1, p.alpha2, canon, b)
     if d < -DEGENERACY_TOL * b * b:
-        raise SpectrumInconsistencyError(
-            f"discriminant D = {d} < 0 beyond tolerance for params {params}"
-        )
-    if abs(d) <= DEGENERACY_TOL * b * b:
+        raise _negative_discriminant(d, params)
+    degenerate = abs(d) <= DEGENERACY_TOL * b * b
+    if degenerate:
         d = 0.0
-        degenerate = True
-    sigma1 = math.sqrt((b + math.sqrt(d)) / 2)
-    # sigma2 via the root product: sqrt((b - sqrt(D))/2) cancels badly
-    # when c << b^2, while c is built from two exact positive factors.
-    sigma2 = math.sqrt(c) / sigma1
+    sigma1, sigma2 = _mode_frequencies(b, c, d, _FLOAT_OPS)
     return ModeSpectrum(b=b, c=c, d=d, sigma1=sigma1, sigma2=sigma2, degenerate=degenerate)
+
+
+def _b_overflow(b, params) -> NumericRangeError:
+    return NumericRangeError(f"quartic coefficient b = {b} overflows b^2 for params {params}")
+
+
+def _negative_discriminant(d, params) -> SpectrumInconsistencyError:
+    return SpectrumInconsistencyError(
+        f"discriminant D = {d} < 0 beyond tolerance for params {params}"
+    )
 
 
 def energy_level(spectrum: ModeSpectrum, n1: int, n2: int) -> float:
@@ -234,7 +279,7 @@ def ground_state_lambda_closed(
     L12 vanish identically on the separable surface a1/m1 = a2/m2.
     """
     canon = bopp_shift(params)
-    c1, c2 = _char_factors(params, canon)
+    c1, c2 = _char_factors(params.m1, params.m2, params.alpha1, params.alpha2, canon)
     r1, r2 = math.sqrt(c1), math.sqrt(c2)
     sig_sum = spectrum.sigma1 + spectrum.sigma2
     lam11 = canon.big_m1 * r2 * sig_sum / (r1 + r2)
@@ -299,18 +344,77 @@ def ground_state_as_gaussian(lam: GroundStateLambda) -> TwoModeGaussian:
     return TwoModeGaussian(alpha=lam.lambda11, beta=lam.lambda22, gamma=lam.lambda12)
 
 
+def _simon(m1, m2, alpha1, alpha2, theta, xp):
+    """E_S (see ``es_closed_form``) on floats or arrays.
+
+    With x = sqrt(a1 m2), y = sqrt(a2 m1), u = ((x - y)/(x + y))^2,
+    q = x y/(x + y)^2 and z = theta^2 x y, E_S = -(u/8) z/(1 + 2 q z),
+    evaluated as -(u/8)/(1/z + 2 q) once z > 1.  No intermediate
+    overflows: z = inf gives the theta -> infinity limit -u/(16 q).
+    """
+    x = xp.sqrt(alpha1 * m2)
+    y = xp.sqrt(alpha2 * m1)
+    s = x + y
+    w = (x - y) / s
+    q = (x / s) * (y / s)
+    z = theta * (theta * (x * y))
+    z_low = xp.minimum(z, 1.0)
+    return -(w * w / 8) * z_low / (1.0 / xp.maximum(z, 1.0) + 2 * q * z_low)
+
+
 def es_closed_form(params: OscillatorParams) -> float:
     """Simon functional of the ground state, directly from the inputs.
 
     E_S = -(theta^2/8) sqrt(a1 m2 a2 m1) (sqrt(a1 m2) - sqrt(a2 m1))^2
           / [2 theta^2 a1 m2 a2 m1 + (sqrt(a1 m2) + sqrt(a2 m1))^2]
 
-    Never positive; zero exactly when theta = 0 or a1/m1 = a2/m2.
+    Never positive; zero exactly when theta = 0 or a1/m1 = a2/m2, and
+    finite for every theta.
     """
-    x = math.sqrt(params.alpha1 * params.m2)
-    y = math.sqrt(params.alpha2 * params.m1)
-    th2 = params.theta * params.theta
-    return -(th2 / 8) * x * y * (x - y) ** 2 / (2 * th2 * x * x * y * y + (x + y) ** 2)
+    p = params
+    return _simon(p.m1, p.m2, p.alpha1, p.alpha2, p.theta, _FLOAT_OPS)
+
+
+def entanglement_columns(m1, m2, alpha1, alpha2, theta) -> dict[str, np.ndarray]:
+    """E_S, Omega, E_F, sigma1 and sigma2 on arrays of inputs, one row per element.
+
+    The inputs broadcast against each other.  Each row is what
+    ``es_closed_form``, ``entanglement_of_formation`` and ``mode_spectrum``
+    give for ``OscillatorParams(m1, m2, alpha1, alpha2, theta)``: the same
+    closed forms, the same checks and the same typed errors, raised for
+    the whole call if any row fails a check.
+    """
+    inputs = (m1, m2, alpha1, alpha2, theta)
+    cols = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1) for v in inputs))
+    # Each input's valid set is an interval, so checking the column minima
+    # and maxima checks every row; a NaN reaches both.
+    OscillatorParams(*(float(v.min()) for v in cols))
+    OscillatorParams(*(float(v.max()) for v in cols))
+    m1, m2, alpha1, alpha2, theta = cols
+
+    def row(mask) -> OscillatorParams:
+        i = int(np.argmax(mask))
+        return OscillatorParams(*(float(v[i]) for v in cols))
+
+    # Overflow and 0*inf are caught by the checks below or reach the output
+    # as they do on the float path, which never warns.
+    with np.errstate(all="ignore"):
+        th2 = theta * theta
+        canon = _canonical(m1, m2, alpha1, alpha2, th2)
+        b = _quartic_b(alpha1, alpha2, th2, canon)
+        bb = b * b
+        overflow = ~np.isfinite(bb)
+        if overflow.any():
+            raise _b_overflow(b[overflow][0], row(overflow))
+        c, d = _quartic_c_d(m1, m2, alpha1, alpha2, canon, b)
+        negative = d < -DEGENERACY_TOL * bb
+        if negative.any():
+            raise _negative_discriminant(d[negative][0], row(negative))
+        d = np.where(np.abs(d) <= DEGENERACY_TOL * bb, 0.0, d)
+        sigma1, sigma2 = _mode_frequencies(b, c, d, np)
+        e_s = _simon(m1, m2, alpha1, alpha2, theta, np)
+        omega, e_f = gaussian.formation_columns(e_s)
+    return {"e_s": e_s, "omega": omega, "e_f": e_f, "sigma1": sigma1, "sigma2": sigma2}
 
 
 def asymptotic_bounds(params: OscillatorParams) -> AsymptoticBounds:

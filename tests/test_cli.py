@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from ncho import cli, entanglement_of_formation, es_closed_form
+from ncho import OscillatorParams, cli, entanglement_of_formation, es_closed_form, mode_spectrum
 from support import fig1
 
 
@@ -29,6 +30,27 @@ def exit_code(capsys, *argv):
 
 
 FIG1_FLAGS = ["--m1", "1", "--m2", "1", "--alpha1", "5", "--alpha2", "10"]
+RATIO_FLAGS = ["--kind", "ratio", "--start", "0.1", "--stop", "10", "--steps", "100",
+               "--theta", "1", "--product", "2"]
+
+
+def scalar_sweep(flags: list[str]) -> list[dict]:
+    """The rows of ``ncho sweep FLAGS``, one OscillatorParams and scalar call chain per row."""
+    a = cli.build_parser().parse_args(["sweep", *flags])
+    rows = []
+    for i in range(a.steps):
+        value = a.start + (a.stop - a.start) * i / (a.steps - 1)
+        if a.kind == "theta":
+            p = OscillatorParams(a.m1, a.m2, a.alpha1, a.alpha2, value)
+        else:
+            a1 = math.sqrt(a.product * value * a.m1 / a.m2)
+            p = OscillatorParams(a.m1, a.m2, a1, a.product / a1, a.theta)
+        spec = mode_spectrum(p)
+        e_s = es_closed_form(p)
+        omega, e_f = entanglement_of_formation(e_s)
+        rows.append(dict(sweep_value=value, e_s=e_s, omega=omega, e_f=e_f,
+                         sigma1=spec.sigma1, sigma2=spec.sigma2))
+    return rows
 
 
 class TestAnalyze:
@@ -145,6 +167,45 @@ class TestSweep:
                            "--start", "5", "--stop", "1", "--steps", "10")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "theta", "--start", "0", "--stop", "10", "--steps", "41", *FIG1_FLAGS],
+            RATIO_FLAGS,
+        ],
+        ids=["theta", "ratio"],
+    )
+    def test_csv_matches_scalar_functions(self, capsys, flags):
+        _, out, _ = run(capsys, "sweep", *flags, "--format", "csv")
+        lines = [cli.SWEEP_HEADER]
+        for row in scalar_sweep(flags):
+            lines.append(",".join(cli._fmt(row[k]) for k in cli.SWEEP_HEADER.split(",")))
+        assert out == "\n".join(lines) + "\n"
+
+    def test_json_matches_scalar_functions(self, capsys):
+        _, out, _ = run(capsys, "sweep", *RATIO_FLAGS)
+        rows = json.loads(out)
+        want = scalar_sweep(RATIO_FLAGS)
+        assert [list(r) for r in rows] == [cli.SWEEP_HEADER.split(",")] * len(want)
+        assert rows == [pytest.approx(w, rel=1e-14, abs=0) for w in want]
+
+    @pytest.mark.parametrize(
+        "flags, code, word",
+        [
+            (["--kind", "theta", "--start", "-1", "--stop", "1", *FIG1_FLAGS], 2, "theta"),
+            (["--kind", "ratio", "--start", "1", "--stop", "1e300", "--product", "1e300"], 2, "alpha"),
+            (["--kind", "ratio", "--start", "1", "--stop", "2", "--product", "-2"], 2, "alpha"),
+            (["--kind", "theta", "--start", "0", "--stop", "1e200", *FIG1_FLAGS], 3, "overflows"),
+        ],
+        ids=["negative-theta", "alpha-overflow", "negative-product", "b-squared-overflow"],
+    )
+    def test_error_contract(self, capsys, flags, code, word):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the array path warns no more than the float path
+            got, _, err = run(capsys, "sweep", *flags, "--steps", "7")
+        assert got == code
+        assert word in err and "Traceback" not in err
 
 
 class TestSpectrum:

@@ -1,5 +1,6 @@
 """Bopp shift, normal modes, ground-state exponent and closed-form E_S."""
 
+import decimal
 import math
 
 import numpy as np
@@ -325,6 +326,26 @@ class TestSimonClosedForm:
             p = random_params(rng)
             q = OscillatorParams(p.m2, p.m1, p.alpha2, p.alpha1, p.theta)
             assert es_closed_form(p) == pytest.approx(es_closed_form(q), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-200])
+    def test_negative_zero_at_vanishing_theta(self, theta):
+        e_s = es_closed_form(fig1(theta))
+        assert e_s == 0 and math.copysign(1.0, e_s) == -1.0
+
+    @pytest.mark.parametrize("theta", [1e154, 1.4e154, 1e300])
+    def test_saturates_where_theta_squared_overflows(self, theta):
+        limit = asymptotic_bounds(fig1(0.0)).e_s_limit
+        assert abs(es_closed_form(fig1(theta)) - limit) <= math.ulp(limit)
+
+    def test_finite_at_extreme_inputs(self):
+        p = OscillatorParams(1.6e22, 8.9e113, 2.2e139, 1e-4, 1e-18)
+        with decimal.localcontext(decimal.Context(prec=50)):
+            m1, m2, a1, a2, th = map(decimal.Decimal, (p.m1, p.m2, p.alpha1, p.alpha2, p.theta))
+            x, y, th2 = (a1 * m2).sqrt(), (a2 * m1).sqrt(), th * th
+            exact = -(th2 / 8) * x * y * (x - y) ** 2 / (2 * th2 * x * x * y * y + (x + y) ** 2)
+        e_s = es_closed_form(p)
+        assert math.isfinite(e_s) and e_s < 0
+        assert e_s == pytest.approx(float(exact), rel=1e-14)
 
 
 class TestAsymptoticBounds:
