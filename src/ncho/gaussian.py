@@ -166,9 +166,13 @@ def _omega(e_s, xp):
 
 
 def _formation(omega, xp):
-    """E_F at Omega > 1/2, on floats (xp = math) or arrays (xp = numpy)."""
+    """E_F at Omega > 1/2, on floats (xp = math) or arrays (xp = numpy).
+
+    ln(Omega + 1/2) + (Omega - 1/2) ln(1 + 1/(Omega - 1/2)) equals the
+    textbook difference of x ln x terms, which cancels to 0 at large Omega.
+    """
     t = omega - 0.5
-    return (omega + 0.5) * xp.log(omega + 0.5) - t * xp.log(t)
+    return xp.log(omega + 0.5) + t * xp.log1p(1 / t)
 
 
 def _positive_es(e_s: float) -> DomainError:

@@ -154,12 +154,12 @@ def test_06_ground_state_residual():
 
 def test_07_covariance_quadrature():
     rng = np.random.default_rng(107)
-    grid = GridSpec(extent=8.0, points_per_axis=769)
+    grid = GridSpec(extent=8.0, points_per_axis=96)
     ok = True
     for _ in range(50):
         state = random_state(rng)
         err = moment_max_err(covariance_blocks(state), gaussian_moment_quadrature(state, grid))
-        ok = ok and err < 1e-6
+        ok = ok and err < 1e-9
     report(7, "covariance closed forms vs quadrature", ok)
 
 

@@ -302,6 +302,14 @@ class TestPlumbing:
         proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_leaves_numpy_fft_unloaded(self):
+        # numpy.fft loads lazily; only the moment oracle needs it.
+        src = Path(__file__).resolve().parents[1] / "src"
+        check = "import ncho, sys; assert 'numpy.fft' not in sys.modules"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_twelve_significant_digits(self, capsys):
         _, out, _ = run(capsys, "analyze", *FIG1_FLAGS, "--theta", "1", "--format", "csv")
         cols = dict(zip(*[line.split(",") for line in out.strip().split("\n")]))

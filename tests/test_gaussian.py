@@ -16,6 +16,7 @@ from ncho import (
     simon_es,
     simon_es_closed,
 )
+from ncho.gaussian import _formation
 from support import random_state
 
 
@@ -156,6 +157,27 @@ class TestEntanglementOfFormation:
     def test_strictly_increasing_in_entanglement_strength(self):
         values = [entanglement_of_formation(-x)[1] for x in np.linspace(0, 2, 100)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_large_omega(self):
+        # E_F = ln(Omega) + 1 + O(1/Omega^2); the x ln x difference cancelled to 0.
+        omegas = np.logspace(8, 300, 200)
+        expected = np.log(omegas) + 1
+        np.testing.assert_allclose(_formation(omegas, np), expected, rtol=1e-14)
+        for omega, want in zip(omegas, expected):
+            assert _formation(float(omega), math) == pytest.approx(want, rel=1e-14)
+        for omega in (1e8, 1e50, 1e150):
+            got_omega, e_f = entanglement_of_formation(-omega * omega)
+            assert got_omega == pytest.approx(omega, rel=1e-15)
+            assert e_f == pytest.approx(math.log(omega) + 1, rel=1e-14)
+
+    def test_matches_textbook_form(self):
+        omegas = 0.5 + np.logspace(-14, math.log10(1e3 - 0.5), 100_000)
+        textbook = (omegas + 0.5) * np.log(omegas + 0.5) - (omegas - 0.5) * np.log(omegas - 0.5)
+        np.testing.assert_allclose(_formation(omegas, np), textbook, rtol=1e-12)
+        for omega in omegas[::997]:
+            assert _formation(float(omega), math) == pytest.approx(
+                float(_formation(omega, np)), rel=1e-14
+            )
 
     def test_omega_floor(self):
         omega, e_f = entanglement_of_formation(-1e-18)
