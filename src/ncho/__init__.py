@@ -1,4 +1,11 @@
-"""Noncommutative-plane anisotropic oscillator: spectrum and entanglement."""
+"""Noncommutative-plane anisotropic oscillator: spectrum and entanglement.
+
+``import ncho`` loads only the standard library.  numpy loads with the
+first array-building call, and ``oracles`` (which needs numpy at import)
+on first use of one of its names below.
+"""
+
+from importlib import import_module as _import_module
 
 from .errors import (
     DomainError,
@@ -6,28 +13,16 @@ from .errors import (
     NchoError,
     NumericRangeError,
     SingularConfigurationError,
-    SpectrumInconsistencyError,
 )
 from .gaussian import (
     CovarianceBlocks,
-    EntanglementReport,
     TwoModeGaussian,
     covariance_blocks,
     entanglement_of_formation,
-    entanglement_report,
     formation_columns,
     normalization,
     simon_es,
     simon_es_closed,
-)
-from .oracles import (
-    GridSpec,
-    ValidationReport,
-    ValidationThresholds,
-    gaussian_moment_quadrature,
-    numeric_eigenvalues,
-    run_validation,
-    schrodinger_residual,
 )
 from .oscillator import (
     AsymptoticBounds,
@@ -49,5 +44,25 @@ from .oscillator import (
     mode_spectrum,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_ORACLE_NAMES = (
+    "oracles",
+    "GridSpec",
+    "ValidationReport",
+    "ValidationThresholds",
+    "gaussian_moment_quadrature",
+    "numeric_eigenvalues",
+    "run_validation",
+    "schrodinger_residual",
+)
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Not ``from . import oracles``: its hasattr check would re-enter here.
+    oracles = _import_module(".oracles", __name__)
+    return oracles if name == "oracles" else getattr(oracles, name)
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_ORACLE_NAMES))
 __version__ = "0.1.0"

@@ -17,12 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import gaussian, oracles, oscillator
+from . import gaussian, oscillator
 from .errors import DomainError, GridConfigurationError, NchoError
 from .oscillator import OscillatorParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -177,6 +179,8 @@ def sweep_rows(kind: str, start: float, stop: float, steps: int,
                m1: float, m2: float, alpha1: float, alpha2: float,
                theta: float, product: float) -> dict[str, np.ndarray]:
     """Evaluate one sweep as columns, keyed and ordered as the CSV header."""
+    import numpy as np
+
     if steps < 2 or not (start < stop):
         raise DomainError(f"need start < stop and steps >= 2, got [{start}, {stop}] x {steps}")
     if kind == "ratio" and start <= 0:
@@ -232,6 +236,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from . import oracles
+
     grid = oracles.GridSpec(extent=args.grid_extent, points_per_axis=args.grid_points)
     report = oracles.run_validation(_params_from(args), grid)
     payload = {

@@ -13,14 +13,6 @@ class NumericRangeError(NchoError, ArithmeticError):
     """An intermediate quantity overflowed or became non-finite."""
 
 
-class SpectrumInconsistencyError(NchoError):
-    """The characteristic discriminant came out negative beyond tolerance.
-
-    For valid oscillator parameters this cannot happen; seeing it indicates
-    a bug or pathological input rather than a physical configuration.
-    """
-
-
 class SingularConfigurationError(NchoError):
     """The eigenbasis of the numeric ground-state route became numerically singular."""
 

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericRangeError
 
-# 2x2 symplectic unit.
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Below this distance of Omega from 1/2 the x*ln(x) limit branch is taken.
 OMEGA_LIMIT_GUARD = 1e-15
@@ -75,21 +74,13 @@ class CovarianceBlocks:
     c_block: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         for name in ("a_block", "b_block", "c_block"):
             m = np.asarray(getattr(self, name), dtype=float)
             if m.shape != (2, 2):
                 raise DomainError(f"{name} must be a 2x2 matrix, got shape {m.shape}")
             object.__setattr__(self, name, m)
-
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Simon functional, its derived quantities and the verdict."""
-
-    e_s: float
-    omega: float
-    e_f: float
-    separable: bool
 
 
 def normalization(state: TwoModeGaussian) -> float:
@@ -104,6 +95,8 @@ def covariance_blocks(state: TwoModeGaussian) -> CovarianceBlocks:
     coefficients; the momentum and mixed moments pick up the imaginary
     parts as well.
     """
+    import numpy as np
+
     a1, a2 = state.alpha.real, state.alpha.imag
     b1, b2 = state.beta.real, state.beta.imag
     g1, g2 = state.gamma.real, state.gamma.imag
@@ -139,11 +132,14 @@ def simon_es(cov: CovarianceBlocks) -> float:
     E_S >= 0 is necessary and sufficient for separability of a bipartite
     Gaussian state; E_S < 0 means entanglement.
     """
+    import numpy as np
+
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])  # 2x2 symplectic unit
     a, b, c = cov.a_block, cov.b_block, cov.c_block
     det_a = float(np.linalg.det(a))
     det_b = float(np.linalg.det(b))
     det_c = float(np.linalg.det(c))
-    tr = float(np.trace(a @ _J @ c @ _J @ b @ _J @ c.T @ _J))
+    tr = float(np.trace(a @ j @ c @ j @ b @ j @ c.T @ j))
     e_s = det_a * det_b + (0.25 - abs(det_c)) ** 2 - tr - 0.25 * (det_a + det_b)
     if not math.isfinite(e_s):
         raise NumericRangeError("Simon functional overflowed; covariance entries too large")
@@ -206,6 +202,8 @@ def formation_columns(e_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The same closed forms and the same limit branch; raises the same
     ``DomainError`` if any E_S is positive.
     """
+    import numpy as np
+
     positive = e_s > 0
     if positive.any():
         raise _positive_es(e_s[positive][0])
@@ -215,12 +213,3 @@ def formation_columns(e_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # their E_F is then set to 0.
     return omega, np.where(limit, 0.0, _formation(np.where(limit, 1.5, omega), np))
 
-
-def entanglement_report(state: TwoModeGaussian) -> EntanglementReport:
-    """Full entanglement analysis of a state."""
-    e_s = simon_es(covariance_blocks(state))
-    # Matrix-route rounding can leave a tiny positive residue on separable states.
-    if 0 < e_s < 1e-12:
-        e_s = 0.0
-    omega, e_f = entanglement_of_formation(e_s)
-    return EntanglementReport(e_s=e_s, omega=omega, e_f=e_f, separable=e_s >= 0)

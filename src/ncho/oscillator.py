@@ -23,20 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import gaussian
-from .errors import (
-    DomainError,
-    NumericRangeError,
-    SingularConfigurationError,
-    SpectrumInconsistencyError,
-)
+from .errors import DomainError, NumericRangeError, SingularConfigurationError
 from .gaussian import TwoModeGaussian
 
-#: Relative tolerance used to clamp a tiny discriminant to the degenerate case.
-DEGENERACY_TOL = 1e-12
+if TYPE_CHECKING:
+    import numpy as np
 
 #: What the float path passes as ``xp`` to the closed-form helpers below, which
 #: the array path calls with numpy.  These two-float minimum and maximum are
@@ -47,9 +41,6 @@ _FLOAT_OPS = SimpleNamespace(
     minimum=lambda a, b: b if b < a else a,
     maximum=lambda a, b: b if b > a else a,
 )
-
-# i * Sigma_y with Sigma_y = diag(sigma_y, sigma_y); entries are exactly +-1.
-_I_SIGMA_Y = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 @dataclass(frozen=True)
@@ -94,7 +85,6 @@ class ModeSpectrum:
     d: float
     sigma1: float
     sigma2: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -155,6 +145,8 @@ def build_h_matrix(params: OscillatorParams) -> np.ndarray:
     H = X^T h X / 2 with diagonal (M1*w1^2, 1/M1, M2*w2^2, 1/M2) and
     couplings -theta*alpha1 at (x1, p2) and +theta*alpha2 at (p1, x2).
     """
+    import numpy as np
+
     c = bopp_shift(params)
     ta1 = params.theta * params.alpha1
     ta2 = params.theta * params.alpha2
@@ -169,8 +161,15 @@ def build_h_matrix(params: OscillatorParams) -> np.ndarray:
 
 
 def build_omega_matrix(params: OscillatorParams) -> np.ndarray:
-    """Dynamical matrix of the Heisenberg equations, i*Sigma_y*h."""
-    return _I_SIGMA_Y @ build_h_matrix(params)
+    """Dynamical matrix of the Heisenberg equations, i*Sigma_y*h.
+
+    i*Sigma_y = diag([[0, 1], [-1, 0]], [[0, 1], [-1, 0]]) swaps the rows
+    of h in pairs and negates the second row of each pair.  Adding 0.0
+    turns each -0.0 into +0.0, as the matrix product would.
+    """
+    omega = build_h_matrix(params)[[1, 0, 3, 2]]
+    omega[1::2] *= -1.0
+    return omega + 0.0
 
 
 def _char_factors(m1, m2, alpha1, alpha2, canon: CanonicalSystem):
@@ -180,8 +179,8 @@ def _char_factors(m1, m2, alpha1, alpha2, canon: CanonicalSystem):
     c2 = w1^2 - theta^2*(M2/M1)*alpha1^2.  Substituting 1/M1 and 1/M2
     turns the differences into the products used here,
     c1 = 2*alpha2*M1/(m1*M2) and c2 = 2*alpha1*M2/(m2*M1), which do not
-    cancel at large theta; c = 4*alpha1*alpha2/(m1*m2) for every theta.
-    Floats or arrays.
+    cancel at large theta; c1*c2 = c = 4*alpha1*alpha2/(m1*m2) for every
+    theta.
     """
     ratio = canon.big_m1 / canon.big_m2
     c1 = 2 * alpha2 * ratio / m1
@@ -194,22 +193,25 @@ def _quartic_b(alpha1, alpha2, th2, canon: CanonicalSystem):
     return canon.omega1_sq + canon.omega2_sq + 2 * th2 * alpha1 * alpha2
 
 
-def _quartic_c_d(m1, m2, alpha1, alpha2, canon: CanonicalSystem, b):
+def _quartic_c_d(m1, m2, alpha1, alpha2, th2):
     """c and the discriminant D = b^2 - 4c of the quartic, on floats or arrays.
 
-    Only for a b whose square is finite: the float path divides by zero
-    where b^2 overflows.
+    With p = 2*alpha1/m1, q = 2*alpha2/m2 and s = 4*theta^2*alpha1*alpha2,
+    b = p + q + s and c = p*q, so D = (p - q)^2 + s*(2p + 2q + s): a sum of
+    nonnegative terms, which neither cancels nor goes negative near the
+    degenerate point p = q, s = 0.
     """
-    c1, c2 = _char_factors(m1, m2, alpha1, alpha2, canon)
-    c = c1 * c2
-    return c, b * b - 4 * c
+    p = 2 * alpha1 / m1
+    q = 2 * alpha2 / m2
+    s = th2 * alpha1 * alpha2 * 4
+    return p * q, (p - q) ** 2 + s * (2 * p + 2 * q + s)
 
 
 def _mode_frequencies(b, c, d, xp):
     """sigma1 = sqrt((b + sqrt(D))/2) and sigma2 = sqrt(c)/sigma1.
 
     sigma2 comes from the root product: sqrt((b - sqrt(D))/2) cancels badly
-    when c << b^2, while c is built from two exact positive factors.
+    when c << b^2, while c = p*q carries no cancellation.
     """
     sigma1 = xp.sqrt((b + xp.sqrt(d)) / 2)
     return sigma1, xp.sqrt(c) / sigma1
@@ -218,35 +220,22 @@ def _mode_frequencies(b, c, d, xp):
 def mode_spectrum(params: OscillatorParams) -> ModeSpectrum:
     """Normal-mode frequencies from the characteristic quartic.
 
-    sigma_{1,2} = sqrt((b +- sqrt(D))/2) with D = b^2 - 4c.  A negative D
-    beyond ``DEGENERACY_TOL * b^2`` is impossible for valid parameters and
-    raises ``SpectrumInconsistencyError``; a tiny |D| is clamped to zero
-    and the spectrum flagged degenerate.  Raises ``NumericRangeError`` when
-    theta is so large that b^2 overflows.
+    sigma_{1,2} = sqrt((b +- sqrt(D))/2) with D = b^2 - 4c, which is never
+    negative.  Raises ``NumericRangeError`` when theta is so large that b^2
+    overflows.
     """
     p = params
-    canon = bopp_shift(p)
-    b = _quartic_b(p.alpha1, p.alpha2, p.theta * p.theta, canon)
+    th2 = p.theta * p.theta
+    b = _quartic_b(p.alpha1, p.alpha2, th2, bopp_shift(p))
     if not math.isfinite(b * b):
         raise _b_overflow(b, params)
-    c, d = _quartic_c_d(p.m1, p.m2, p.alpha1, p.alpha2, canon, b)
-    if d < -DEGENERACY_TOL * b * b:
-        raise _negative_discriminant(d, params)
-    degenerate = abs(d) <= DEGENERACY_TOL * b * b
-    if degenerate:
-        d = 0.0
+    c, d = _quartic_c_d(p.m1, p.m2, p.alpha1, p.alpha2, th2)
     sigma1, sigma2 = _mode_frequencies(b, c, d, _FLOAT_OPS)
-    return ModeSpectrum(b=b, c=c, d=d, sigma1=sigma1, sigma2=sigma2, degenerate=degenerate)
+    return ModeSpectrum(b=b, c=c, d=d, sigma1=sigma1, sigma2=sigma2)
 
 
 def _b_overflow(b, params) -> NumericRangeError:
     return NumericRangeError(f"quartic coefficient b = {b} overflows b^2 for params {params}")
-
-
-def _negative_discriminant(d, params) -> SpectrumInconsistencyError:
-    return SpectrumInconsistencyError(
-        f"discriminant D = {d} < 0 beyond tolerance for params {params}"
-    )
 
 
 def energy_level(spectrum: ModeSpectrum, n1: int, n2: int) -> float:
@@ -309,6 +298,8 @@ def ground_state_lambda_numeric(params: OscillatorParams) -> GroundStateLambda:
     rows, so no normalization is needed; this is the independent check on
     the closed forms.
     """
+    import numpy as np
+
     omega = build_omega_matrix(params)
     evals, vl = np.linalg.eig(omega.T)
     order = np.argsort(evals.imag)
@@ -384,6 +375,8 @@ def entanglement_columns(m1, m2, alpha1, alpha2, theta) -> dict[str, np.ndarray]
     closed forms, the same checks and the same typed errors, raised for
     the whole call if any row fails a check.
     """
+    import numpy as np
+
     inputs = (m1, m2, alpha1, alpha2, theta)
     cols = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1) for v in inputs))
     # Each input's valid set is an interval, so checking the column minima
@@ -402,15 +395,10 @@ def entanglement_columns(m1, m2, alpha1, alpha2, theta) -> dict[str, np.ndarray]
         th2 = theta * theta
         canon = _canonical(m1, m2, alpha1, alpha2, th2)
         b = _quartic_b(alpha1, alpha2, th2, canon)
-        bb = b * b
-        overflow = ~np.isfinite(bb)
+        overflow = ~np.isfinite(b * b)
         if overflow.any():
             raise _b_overflow(b[overflow][0], row(overflow))
-        c, d = _quartic_c_d(m1, m2, alpha1, alpha2, canon, b)
-        negative = d < -DEGENERACY_TOL * bb
-        if negative.any():
-            raise _negative_discriminant(d[negative][0], row(negative))
-        d = np.where(np.abs(d) <= DEGENERACY_TOL * bb, 0.0, d)
+        c, d = _quartic_c_d(m1, m2, alpha1, alpha2, th2)
         sigma1, sigma2 = _mode_frequencies(b, c, d, np)
         e_s = _simon(m1, m2, alpha1, alpha2, theta, np)
         omega, e_f = gaussian.formation_columns(e_s)

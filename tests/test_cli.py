@@ -20,6 +20,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cold(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run CODE with ARGV in a fresh interpreter that imports ncho from src/."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+
+
 def exit_code(capsys, *argv):
     """The process exit code of ``ncho ARGV``: argparse rejects bad flags by SystemExit."""
     try:
@@ -296,19 +302,50 @@ class TestPlumbing:
         assert "error" in err
 
     def test_import_needs_no_scipy(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        check = "import ncho, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+        proc = cold("import ncho, sys; assert not any(m.startswith('scipy') for m in sys.modules)")
         assert proc.returncode == 0, proc.stderr
 
     def test_import_leaves_numpy_fft_unloaded(self):
         # numpy.fft loads lazily; only the moment oracle needs it.
-        src = Path(__file__).resolve().parents[1] / "src"
-        check = "import ncho, sys; assert 'numpy.fft' not in sys.modules"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+        proc = cold("import ncho, sys; assert 'numpy.fft' not in sys.modules")
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    def test_cold_path_leaves_numpy_unloaded(self, command):
+        check = (
+            "import sys, ncho\n"
+            "assert 'numpy' not in sys.modules, 'import ncho'\n"
+            "from ncho import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "assert 'numpy' not in sys.modules, sys.argv[1]\n"
+        )
+        proc = cold(check, command, *FIG1_FLAGS, "--theta", "1")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_every_exported_name_resolves(self):
+        check = (
+            "import ncho\n"
+            "missing = [n for n in ncho.__all__ if getattr(ncho, n, None) is None]\n"
+            "assert not missing, missing\n"
+            "assert not hasattr(ncho, 'no_such_name')\n"
+            "from ncho import run_validation, GridSpec\n"
+            "from ncho import *\n"
+            "assert run_validation is ncho.oracles.run_validation and GridSpec is ncho.GridSpec\n"
+        )
+        proc = cold(check)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--kind", "theta", "--start", "0", "--stop", "1", "--steps", "3"],
+            ["validate", *FIG1_FLAGS, "--theta", "1"],
+        ],
+    )
+    def test_cold_sweep_and_validate_succeed(self, argv):
+        proc = cold("from ncho.cli import entrypoint; entrypoint()", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("[" if argv[0] == "sweep" else "{")
 
     def test_twelve_significant_digits(self, capsys):
         _, out, _ = run(capsys, "analyze", *FIG1_FLAGS, "--theta", "1", "--format", "csv")

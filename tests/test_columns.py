@@ -1,6 +1,8 @@
 """The array path (entanglement_columns) against the scalar functions."""
 
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,14 +53,31 @@ def test_columns_match_scalar_path(points):
             assert cols["e_s"][i] == 0 and cols["e_f"][i] == 0, point
 
 
-def test_degenerate_rows_are_clamped():
-    # At alpha2 = 1 + 7e-9, D = b^2 - 4c rounds to -3.6e-15 before the clamp.
-    alpha1, alpha2 = np.array([0.5, 1.0]), np.array([0.5, 1 + 7e-9])
-    cols = entanglement_columns(1.0, 1.0, alpha1, alpha2, 0.0)
-    for i in range(2):
-        spec = mode_spectrum(OscillatorParams(1.0, 1.0, alpha1[i], alpha2[i], 0.0))
-        assert spec.degenerate
-        assert (cols["sigma1"][i], cols["sigma2"][i]) == (spec.sigma1, spec.sigma2)
+def exact_d_sigma1(m1, m2, alpha1, alpha2, theta):
+    """D and sigma1 from the float inputs in exact rational arithmetic, sigma1 to 40 digits."""
+    m1, m2, alpha1, alpha2, theta = map(Fraction, (m1, m2, alpha1, alpha2, theta))
+    p, q, s = 2 * alpha1 / m1, 2 * alpha2 / m2, 4 * theta**2 * alpha1 * alpha2
+    b, d = p + q + s, (p + q + s) ** 2 - 4 * p * q
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        b_dec, d_dec = (decimal.Decimal(f.numerator) / f.denominator for f in (b, d))
+        sigma1 = ((b_dec + d_dec.sqrt()) / 2).sqrt()
+    return d, sigma1
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(1.0, 1.0, 1.0, 1 + 1e-7, 0.0), (1.0, 1.0, 1.0, 1.00001, 1e-7)],
+    ids=["near_isotropic", "small_theta"],
+)
+def test_near_degenerate_discriminant(point):
+    # b^2 - 4c cancels here: the true D is about 4e-14 and 4e-10, against b^2 = 16.
+    d, sigma1 = exact_d_sigma1(*point)
+    spec = mode_spectrum(OscillatorParams(*point))
+    assert abs(Fraction(spec.d) - d) <= 1e-15 * d
+    assert abs(decimal.Decimal(spec.sigma1) - sigma1) <= decimal.Decimal(1e-15) * sigma1
+    cols = entanglement_columns(*(np.array([v]) for v in point))
+    assert (cols["sigma1"][0], cols["sigma2"][0]) == (spec.sigma1, spec.sigma2)
 
 
 @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
