@@ -22,7 +22,6 @@ from .gaussian import (
     formation_columns,
     normalization,
     simon_es,
-    simon_es_closed,
 )
 from .oscillator import (
     AsymptoticBounds,

@@ -146,16 +146,6 @@ def simon_es(cov: CovarianceBlocks) -> float:
     return e_s
 
 
-def simon_es_closed(state: TwoModeGaussian) -> float:
-    """E_S for a state of the exponent family: -(g1^2 + g2^2)/(4 Delta^2).
-
-    Algebraically identical to ``simon_es(covariance_blocks(state))`` but
-    free of the cancellations of the matrix route.
-    """
-    g1, g2 = state.gamma.real, state.gamma.imag
-    return -0.25 * (g1 * g1 + g2 * g2) / state.delta_sq
-
-
 def _omega(e_s, xp):
     """Omega = sqrt(1/4 - E_S), on floats (xp = math) or arrays (xp = numpy)."""
     return xp.sqrt(0.25 - e_s)

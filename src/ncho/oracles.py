@@ -6,7 +6,7 @@ without sharing code paths with them:
 * a dense eigen-decomposition of the dynamical matrix against the
   quartic-root mode frequencies,
 * a finite-difference application of the canonical Hamiltonian to the
-  sampled ground state (residual of the eigenvalue equation),
+  ground state's grid shift factors (residual of the eigenvalue equation),
 * grid quadrature, with FFT derivatives, of the two-mode Gaussian second
   moments against the closed-form covariance entries.
 
@@ -28,10 +28,7 @@ from .oscillator import GroundStateLambda, ModeSpectrum, OscillatorParams
 
 MIN_POINTS_PER_AXIS = 33
 MIN_RESIDUAL_EXTENT = 6.0
-# Grid points per characteristic length of the narrower direction that the
-# spectral moment quadrature needs.  Measured worst moment errors of
-# anisotropic states: 2 points give 3e-14, 1.6 give 1e-8, 0.8 give 5e-2.
-MIN_POINTS_PER_LENGTH = 2.0
+MIN_POINTS_PER_LENGTH = 1.45
 
 
 @dataclass(frozen=True)
@@ -106,31 +103,6 @@ def failing_checks(report: ValidationReport) -> list[str]:
     ]
 
 
-# Second-order central differences on zero-padded arrays, built from
-# slices.  The states sampled here decay like exp(-extent^2/2) at the
-# boundary, so the padding error is far below every tolerance in use.
-
-
-def _d1(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """First derivative, second order."""
-    f = np.moveaxis(f, axis, 0)
-    d = np.empty_like(f)
-    d[1:-1] = f[2:] - f[:-2]
-    d[0] = f[1]
-    d[-1] = -f[-2]
-    return np.moveaxis(d, 0, axis) / (2 * h)
-
-
-def _d2(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second derivative, second order."""
-    f = np.moveaxis(f, axis, 0)
-    d = np.empty_like(f)
-    d[1:-1] = f[2:] - 2 * f[1:-1] + f[:-2]
-    d[0] = f[1] - 2 * f[0]
-    d[-1] = -2 * f[-1] + f[-2]
-    return np.moveaxis(d, 0, axis) / (h * h)
-
-
 def numeric_eigenvalues(omega_matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of the dynamical matrix, sorted by (imag, real).
 
@@ -163,25 +135,36 @@ def eigen_max_err(numeric: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(numeric - expected) / np.abs(expected)))
 
 
-def _sample_ground_state(
-    lam: GroundStateLambda, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    ell = 1.0 / math.sqrt(min(lam.lambda11, lam.lambda22))
-    x, h = grid.axis(ell)
-    x1, x2 = x[:, None], x[None, :]
-    psi = np.exp(-0.5 * (lam.lambda11 * x1**2 + lam.lambda22 * x2**2 + 2 * lam.lambda12 * x1 * x2))
-    return x1, x2, psi, h
+def _shift_factors(lam_kk: float, kappa: float, lam12: complex, x: np.ndarray, h: float):
+    """One axis's factors of psi = exp(-lam_kk x^2/2) * ... * exp(-lam12 x1 x2).
+
+    In order: the envelope at the next and the previous point (0 off the
+    grid, the stencil's zero padding), at x, and at x times exp(-+ lam12 h x)
+    (the cross term as the other coordinate steps +-h).  Each is times
+    exp(kappa lam_kk x^2/2) and one exp of its whole exponent, so at most
+    exp(kappa h^2 max(lam11, lam22) / (2 (1 - kappa))), or 1 at kappa = 0.
+    """
+    keep, full = 0.5 * kappa * lam_kk * x * x, 0.5 * lam_kk * x * x
+    own, cross = keep - full, lam12 * h * x
+    nxt = np.append(np.exp(keep[:-1] - full[1:]), 0.0)
+    prv = np.append(0.0, np.exp(keep[1:] - full[:-1]))
+    return nxt, prv, np.exp(own), np.exp(own - cross), np.exp(own + cross)
 
 
-def schrodinger_residual(
-    params: OscillatorParams, lam: GroundStateLambda, grid: GridSpec
-) -> float:
+def schrodinger_residual(params: OscillatorParams, lam: GroundStateLambda, grid: GridSpec) -> float:
     """Relative L2 residual of (H - E00) psi00 on the grid.
 
     The canonical Hamiltonian (kinetic terms, quadratic potential and the
     theta cross term with x*d/dx structure) is discretized with
-    second-order central differences; the residual therefore converges as
-    O(h^2) under grid refinement for the true ground state.
+    second-order central differences on zero-padded samples; the residual
+    therefore converges as O(h^2) under grid refinement for the true
+    ground state.  The stencil is evaluated exactly through psi's shift
+    factors, not on sampled psi: psi at x +- h e_k is exp(-lam12 x1 x2)
+    times a row and a column factor (``_shift_factors``), so (H - E00) psi
+    is exp(-lam12 x1 x2) times one (N x 6) by (6 x N) product.  The factors
+    take kappa = |Re lam12| / sqrt(lam11 lam22) of each diagonal envelope;
+    the rest of |exp(-lam12 x1 x2)|^2, exp(-2 (q1 + q2)^2) with q_k =
+    sqrt(kappa lam_kk / 2) x_k and q2 signed like Re lam12, weights both norms.
     """
     if grid.extent < MIN_RESIDUAL_EXTENT:
         raise GridConfigurationError(
@@ -192,17 +175,32 @@ def schrodinger_residual(
     spec = oscillator.mode_spectrum(params)
     e00 = 0.5 * (spec.sigma1 + spec.sigma2)
 
-    x1, x2, psi, h = _sample_ground_state(lam, grid)
-    h_psi = (
-        -_d2(psi, h, 0) / (2 * canon.big_m1)
-        - _d2(psi, h, 1) / (2 * canon.big_m2)
-        + 0.5 * canon.big_m1 * canon.omega1_sq * x1**2 * psi
-        + 0.5 * canon.big_m2 * canon.omega2_sq * x2**2 * psi
-        # -theta*(a1 x1 p2 - a2 x2 p1) with p = -i d/dx
-        + 1j * params.theta * params.alpha1 * x1 * _d1(psi, h, 1)
-        - 1j * params.theta * params.alpha2 * x2 * _d1(psi, h, 0)
+    l11, l22, l12 = lam.lambda11, lam.lambda22, lam.lambda12
+    x, h = grid.axis(1.0 / math.sqrt(min(l11, l22)))
+    kappa = abs(l12.real) / math.sqrt(l11 * l22)
+    nxt1, prv1, own1, plus1, minus1 = _shift_factors(l11, kappa, l12, x, h)
+    nxt2, prv2, own2, plus2, minus2 = _shift_factors(l22, kappa, l12, x, h)
+    kin1, kin2 = -0.5 / (canon.big_m1 * h * h), -0.5 / (canon.big_m2 * h * h)
+    # -theta*(a1 x1 p2 - a2 x2 p1) with p = -i d/dx
+    drift1 = 0.5j * params.theta * params.alpha1 / h * x
+    drift2 = 0.5j * params.theta * params.alpha2 / h * x
+    diag1 = 0.5 * canon.big_m1 * canon.omega1_sq * x * x - 2 * kin1 - 2 * kin2 - e00
+    pot2 = 0.5 * canon.big_m2 * canon.omega2_sq * x * x
+    # The terms in psi(x1 +- h, x2), psi(x1, x2 +- h) and psi(x1, x2).
+    rows = np.column_stack(
+        (nxt1, prv1, plus1 * (kin2 + drift1), minus1 * (kin2 - drift1), own1 * diag1, own1)
     )
-    return float(np.linalg.norm(h_psi - e00 * psi) / np.linalg.norm(psi))
+    cols = np.array(
+        (plus2 * (kin1 - drift2), minus2 * (kin1 + drift2), nxt2, prv2, own2, pot2 * own2)
+    )
+    residual = rows @ cols
+    q1 = math.sqrt(0.5 * kappa * l11) * x
+    q2 = math.copysign(math.sqrt(0.5 * kappa * l22), l12.real) * x
+    root_weight = np.add.outer(q1, q2)  # in place from here: fresh grids cost page faults
+    np.exp(np.negative(np.square(root_weight, out=root_weight), out=root_weight), out=root_weight)
+    residual *= root_weight
+    psi_norm_sq = (own1 * own1) @ np.square(root_weight, out=root_weight) @ (own2 * own2)
+    return float(np.sqrt(np.vdot(residual, residual).real / psi_norm_sq))
 
 
 def _fft_len(n: int) -> int:
@@ -244,12 +242,24 @@ def gaussian_moment_quadrature(state: TwoModeGaussian, grid: GridSpec) -> gaussi
     x*p moments are weighted row and column sums of |psi|^2 and of the
     probability currents Im(conj(psi) * dpsi).  The sampled Gaussian is zero
     to machine precision at the grid edge, so both the trapezoidal sums and
-    the derivatives converge exponentially.  Requires at least
-    ``MIN_POINTS_PER_LENGTH`` grid points per characteristic length of the
-    narrower direction.
+    the derivatives converge exponentially.
+
+    Requires ``MIN_POINTS_PER_LENGTH`` = 1.45 points per narrow length
+    (below).  The default grid gives 0.80 for TwoModeGaussian(1+20j, 1, 0)
+    (moment error 1e-2 if run), 1.59 for 1+10j (1.6e-10), at least 10 over
+    the benchmark's validation box and 6.0 at (1, 1, 5, 100, 1); test_07's
+    96-point grid gives at least 1.49.  Over 775 random complex states at
+    1.38 to 1.52 points there, the worst errors were 9.8e-9 from 1.45 points
+    up, 7.4e-9 from 1.46 and 3.7e-8 at 1.40.
     """
     ell_wide = 1.0 / math.sqrt(min(state.alpha.real, state.beta.real))
-    ell_narrow = 1.0 / math.sqrt(max(state.alpha.real, state.beta.real))
+    # The narrow length: sqrt of the smallest eigenvalue of Re(A^-1) for the
+    # exponent matrix A, one over the widest spread of |psi|^2 in momentum
+    # space, exp(-k^T Re(A^-1) k), which Im(alpha) and Im(beta) widen too.
+    det = state.alpha * state.beta - state.gamma * state.gamma
+    p, q, r = (state.beta / det).real, (state.alpha / det).real, (state.gamma / det).real
+    largest = 0.5 * (p + q) + math.hypot(0.5 * (p - q), r)
+    ell_narrow = math.sqrt(max(p * q - r * r, 0.0) / largest)
     x, h = grid.axis(ell_wide)
     if ell_narrow / h < MIN_POINTS_PER_LENGTH:
         raise GridConfigurationError(

@@ -1,6 +1,7 @@
 """Numerical oracles: eigen-decomposition, residual, quadrature, bundle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ncho import (
     OscillatorParams,
     TwoModeGaussian,
     ValidationThresholds,
+    bopp_shift,
     build_omega_matrix,
     covariance_blocks,
     gaussian_moment_quadrature,
@@ -22,7 +24,7 @@ from ncho import (
     run_validation,
     schrodinger_residual,
 )
-from ncho.oracles import eigen_max_err, expected_eigenvalues, failing_checks
+from ncho.oracles import eigen_max_err, expected_eigenvalues, failing_checks, moment_max_err
 from support import fig1, random_params
 
 UNIT = OscillatorParams(1, 1, 0.5, 0.5, 0)
@@ -90,7 +92,111 @@ class TestNumericEigenvalues:
         assert eigen_max_err(evals, expected_eigenvalues(mode_spectrum(p))) > 1e-8
 
 
+def _d1(f, h, axis):
+    """First derivative, second-order central difference, zero-padded."""
+    f = np.moveaxis(f, axis, 0)
+    d = np.empty_like(f)
+    d[1:-1] = f[2:] - f[:-2]
+    d[0] = f[1]
+    d[-1] = -f[-2]
+    return np.moveaxis(d, 0, axis) / (2 * h)
+
+
+def _d2(f, h, axis):
+    """Second derivative, second-order central difference, zero-padded."""
+    f = np.moveaxis(f, axis, 0)
+    d = np.empty_like(f)
+    d[1:-1] = f[2:] - 2 * f[1:-1] + f[:-2]
+    d[0] = f[1] - 2 * f[0]
+    d[-1] = -2 * f[-1] + f[-2]
+    return np.moveaxis(d, 0, axis) / (h * h)
+
+
+def stencil_residual(params, lam, grid):
+    """The residual's definition: the stencil applied to the sampled psi."""
+    canon = bopp_shift(params)
+    spec = mode_spectrum(params)
+    x, h = grid.axis(1.0 / math.sqrt(min(lam.lambda11, lam.lambda22)))
+    x1, x2 = x[:, None], x[None, :]
+    l11, l22, l12 = lam.lambda11, lam.lambda22, lam.lambda12
+    psi = np.exp(-0.5 * (l11 * x1**2 + l22 * x2**2 + 2 * l12 * x1 * x2))
+    h_psi = (
+        -_d2(psi, h, 0) / (2 * canon.big_m1)
+        - _d2(psi, h, 1) / (2 * canon.big_m2)
+        + 0.5 * canon.big_m1 * canon.omega1_sq * x1**2 * psi
+        + 0.5 * canon.big_m2 * canon.omega2_sq * x2**2 * psi
+        + 1j * params.theta * params.alpha1 * x1 * _d1(psi, h, 1)
+        - 1j * params.theta * params.alpha2 * x2 * _d1(psi, h, 0)
+    )
+    e00 = 0.5 * (spec.sigma1 + spec.sigma2)
+    return float(np.linalg.norm(h_psi - e00 * psi) / np.linalg.norm(psi))
+
+
+def validation_box_points(seed, n):
+    """Points of the benchmark's validation box: m, alpha1 in [0.5, 2],
+    alpha2/alpha1 in [1/2, 2], theta in [0.05, 0.8], all log-uniform."""
+    rng = np.random.default_rng(seed)
+
+    def draw(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    points = []
+    for _ in range(n):
+        a1 = draw(0.5, 2)
+        m1, m2 = draw(0.5, 2), draw(0.5, 2)
+        points.append(OscillatorParams(m1, m2, a1, a1 * draw(0.5, 2), draw(0.05, 0.8)))
+    return points
+
+
+RESIDUAL_GRIDS = [GridSpec(8.0, 257), GridSpec(8.0, 65), GridSpec(6.0, 129), GridSpec(6.0, 33)]
+STIFF_RATIOS = [1e2, 1e3, 2e3, 1e4, 1e6]
+
+
 class TestSchrodingerResidual:
+    @pytest.mark.parametrize(
+        "grid", RESIDUAL_GRIDS, ids=lambda g: f"{g.extent:g}-{g.points_per_axis}"
+    )
+    def test_matches_stencil_on_validation_box(self, grid):
+        for p in validation_box_points(11, 6) + [OscillatorParams(1, 1, 5, 20, 1)]:
+            lam = ground_state_lambda_closed(p, mode_spectrum(p))
+            corrupted = GroundStateLambda(lam.lambda11, lam.lambda22, lam.lambda12 + 0.3)
+            for state in (lam, corrupted):
+                assert schrodinger_residual(p, state, grid) == pytest.approx(
+                    stencil_residual(p, state, grid), rel=1e-9
+                )
+
+    def test_known_failing_point(self):
+        p = OscillatorParams(1, 1, 5, 20, 1)
+        lam = ground_state_lambda_closed(p, mode_spectrum(p))
+        assert schrodinger_residual(p, lam, GridSpec()) == pytest.approx(0.0190693069559, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "lam",
+        [GroundStateLambda(r, 1.0, 0.5j) for r in STIFF_RATIOS]
+        + [GroundStateLambda(1.0, r, -0.3 + 0.5j) for r in STIFF_RATIOS]
+        + [GroundStateLambda(1e4, 1.0, 50.0), GroundStateLambda(1.0, 1e3, 20 + 0.5j)],
+    )
+    def test_stiff_states_stay_finite(self, lam):
+        # A ratio of psi's shifts overflows from lambda11/lambda22 = 2e3 on,
+        # and a weight of exp(-2 Re(lambda12) x1 x2) on the last two states.
+        p = fig1(1.0)
+        r = schrodinger_residual(p, lam, GridSpec())
+        assert math.isfinite(r)
+        assert r == pytest.approx(stencil_residual(p, lam, GridSpec()), rel=1e-9)
+
+    def test_memory_stays_below_a_grid_stencil(self):
+        # The sampled stencil peaks at 5.4 MB on the default grid.
+        p = fig1(1.0)
+        lam = ground_state_lambda_closed(p, mode_spectrum(p))
+        schrodinger_residual(p, lam, GridSpec())
+        tracemalloc.start()
+        try:
+            schrodinger_residual(p, lam, GridSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_unit_oscillator_discretization_error(self):
         r = schrodinger_residual(UNIT, unit_lambda(), GridSpec(8.0, 129))
         assert r == pytest.approx(0.002452080289814484, rel=1e-6)
@@ -157,8 +263,17 @@ class TestMomentQuadrature:
         with pytest.raises(GridConfigurationError):
             gaussian_moment_quadrature(state, GridSpec(8.0, 33))
 
+    def test_momentum_width_counts(self):
+        # Im(alpha) widens the momentum spread: 0.80 points per narrow length.
+        with pytest.raises(GridConfigurationError):
+            gaussian_moment_quadrature(TwoModeGaussian(1 + 20j, 1, 0), GridSpec())
+        # 1.59 points per narrow length
+        state = TwoModeGaussian(1 + 10j, 1, 0)
+        quad = gaussian_moment_quadrature(state, GridSpec())
+        assert moment_max_err(covariance_blocks(state), quad) < 1e-9
+
     def test_strongly_anisotropic_state_resolved(self):
-        # 7.6 points per narrow length on the default grid: enough for the
+        # 6.0 points per narrow length on the default grid: enough for the
         # spectral derivatives; only the O(h^2) Schrodinger residual fails.
         report = run_validation(OscillatorParams(1, 1, 5, 100, 1))
         assert report.moment_max_err < 1e-9
