@@ -7,8 +7,8 @@ without sharing code paths with them:
   quartic-root mode frequencies,
 * a finite-difference application of the canonical Hamiltonian to the
   ground state's grid shift factors (residual of the eigenvalue equation),
-* grid quadrature, with FFT derivatives, of the two-mode Gaussian second
-  moments against the closed-form covariance entries.
+* trapezoidal sums of the two-mode Gaussian second moments, with the
+  Gaussian's exact derivatives, against the closed-form covariance entries.
 
 ``run_validation`` bundles them, together with a three-path agreement
 check of the Simon functional, into a single report.
@@ -65,11 +65,11 @@ class ValidationThresholds:
     """Pass/fail limits for ``run_validation``.
 
     The Schrodinger threshold reflects the pure O(h^2) discretization
-    error of the default 257-point grid.  The moment threshold is set by
-    the spectral quadrature's measured worst errors: 2e-14 on the default
-    grid over 30 ground states with masses and stiffnesses in [0.5, 2] and
-    theta <= 0.8, and 1.5e-10 for 50 random complex states on a 96-point
-    grid.  The others are far above the oracle noise floor.
+    error of the default 257-point grid.  The moment threshold is far above
+    the quadrature's measured worst errors: 2.5e-15 on the default grid
+    over 59 ground states of the benchmark's validation box and at
+    (1, 1, 5, 10 | 20 | 100, 1), and 1.2e-10 for 50 random complex states
+    on a 96-point grid.  The others are far above the oracle noise floor.
     """
 
     eigen: float = 1e-8
@@ -135,6 +135,20 @@ def eigen_max_err(numeric: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(numeric - expected) / np.abs(expected)))
 
 
+def _cross_weight(kappa: float, l11: float, l22: float, re_l12: float, x: np.ndarray) -> np.ndarray:
+    """The part of |exp(-x^T L x / 2)| on the grid x by x that does not separate.
+
+    With kappa = |re_l12| / sqrt(l11 l22), |psi| is exp(-(1 - kappa)(l11 x1^2
+    + l22 x2^2) / 2) times this weight exp(-(q1 + q2)^2), q_k = sqrt(kappa
+    l_kk / 2) x_k and q2 signed like re_l12; both factors are at most 1.
+    """
+    q1 = math.sqrt(0.5 * kappa * l11) * x
+    q2 = math.copysign(math.sqrt(0.5 * kappa * l22), re_l12) * x
+    weight = np.add.outer(q1, q2)  # in place from here: fresh grids cost page faults
+    np.exp(np.negative(np.square(weight, out=weight), out=weight), out=weight)
+    return weight
+
+
 def _shift_factors(lam_kk: float, kappa: float, lam12: complex, x: np.ndarray, h: float):
     """One axis's factors of psi = exp(-lam_kk x^2/2) * ... * exp(-lam12 x1 x2).
 
@@ -162,9 +176,8 @@ def schrodinger_residual(params: OscillatorParams, lam: GroundStateLambda, grid:
     factors, not on sampled psi: psi at x +- h e_k is exp(-lam12 x1 x2)
     times a row and a column factor (``_shift_factors``), so (H - E00) psi
     is exp(-lam12 x1 x2) times one (N x 6) by (6 x N) product.  The factors
-    take kappa = |Re lam12| / sqrt(lam11 lam22) of each diagonal envelope;
-    the rest of |exp(-lam12 x1 x2)|^2, exp(-2 (q1 + q2)^2) with q_k =
-    sqrt(kappa lam_kk / 2) x_k and q2 signed like Re lam12, weights both norms.
+    take kappa = |Re lam12| / sqrt(lam11 lam22) of each diagonal envelope,
+    and the rest of |psi|, ``_cross_weight``, weights both norms.
     """
     if grid.extent < MIN_RESIDUAL_EXTENT:
         raise GridConfigurationError(
@@ -194,63 +207,31 @@ def schrodinger_residual(params: OscillatorParams, lam: GroundStateLambda, grid:
         (plus2 * (kin1 - drift2), minus2 * (kin1 + drift2), nxt2, prv2, own2, pot2 * own2)
     )
     residual = rows @ cols
-    q1 = math.sqrt(0.5 * kappa * l11) * x
-    q2 = math.copysign(math.sqrt(0.5 * kappa * l22), l12.real) * x
-    root_weight = np.add.outer(q1, q2)  # in place from here: fresh grids cost page faults
-    np.exp(np.negative(np.square(root_weight, out=root_weight), out=root_weight), out=root_weight)
+    root_weight = _cross_weight(kappa, l11, l22, l12.real, x)
     residual *= root_weight
     psi_norm_sq = (own1 * own1) @ np.square(root_weight, out=root_weight) @ (own2 * own2)
     return float(np.sqrt(np.vdot(residual, residual).real / psi_norm_sq))
 
 
-def _fft_len(n: int) -> int:
-    """Smallest length >= n with no prime factor above 5, where FFTs are fast."""
-    m = n
-    while True:
-        r = m
-        for q in (2, 3, 5):
-            while r % q == 0:
-                r //= q
-        if r == 1:
-            return m
-        m += 1
-
-
-def _spectral_d1(f: np.ndarray, h: float) -> np.ndarray:
-    """First derivative along axis 0 by FFT, exact for band-limited data.
-
-    The samples are zero-padded to a fast FFT length; for data that is zero
-    to machine precision at both ends the padded periodic extension is as
-    smooth as the unpadded one.
-    """
-    fft = np.fft
-    n = f.shape[0]
-    m = _fft_len(n)
-    k = 2 * np.pi * fft.fftfreq(m, h)
-    if m % 2 == 0:
-        k[m // 2] = 0.0  # the Nyquist mode's derivative is not resolved
-    spectrum = fft.fft(f, m, axis=0)
-    spectrum *= 1j * k[:, None]
-    return fft.ifft(spectrum, axis=0)[:n]
-
-
 def gaussian_moment_quadrature(state: TwoModeGaussian, grid: GridSpec) -> gaussian.CovarianceBlocks:
     """All ten second moments by trapezoidal quadrature on the grid.
 
-    The sampled wave function is differentiated once per axis with FFTs.
-    Momentum moments are sums over the two derivative arrays; position and
-    x*p moments are weighted row and column sums of |psi|^2 and of the
-    probability currents Im(conj(psi) * dpsi).  The sampled Gaussian is zero
-    to machine precision at the grid edge, so both the trapezoidal sums and
-    the derivatives converge exponentially.
+    For psi = exp(-x^T A x/2) the derivatives are exact, d_k psi = -(A x)_k psi,
+    so the definitions <x_j x_k> = sum x_j x_k |psi|^2, <p_j p_k> =
+    Re sum conj(d_j psi) d_k psi and <{x_j, p_k}>/2 = sum x_j Im(conj(psi)
+    d_k psi) (over sum |psi|^2) are sums of |psi|^2 times polynomials of
+    degree <= 2: <p p> = Re(conj(A) X A) and <x p> = -X Im(A) for the
+    position moments X.  All of them follow from the sums S_ab = sum x1^a
+    x2^b |psi|^2, one (3 x N) by (N x N) by (N x 3) product over the
+    separable factors of |psi|^2 and the square of ``_cross_weight``.
+    |psi|^2 is zero to machine precision at the grid edge, so the sums
+    converge exponentially.
 
     Requires ``MIN_POINTS_PER_LENGTH`` = 1.45 points per narrow length
-    (below).  The default grid gives 0.80 for TwoModeGaussian(1+20j, 1, 0)
-    (moment error 1e-2 if run), 1.59 for 1+10j (1.6e-10), at least 10 over
-    the benchmark's validation box and 6.0 at (1, 1, 5, 100, 1); test_07's
-    96-point grid gives at least 1.49.  Over 775 random complex states at
-    1.38 to 1.52 points there, the worst errors were 9.8e-9 from 1.45 points
-    up, 7.4e-9 from 1.46 and 3.7e-8 at 1.40.
+    (below).  The default grid gives 0.80 for TwoModeGaussian(1+20j, 1, 0),
+    1.59 for 1+10j (moment error 5.6e-16), at least 10 over the benchmark's
+    validation box and 6.0 at (1, 1, 5, 100, 1) (errors <= 2.5e-15);
+    test_07's 96-point grid gives at least 1.49 (errors <= 1.2e-10).
     """
     ell_wide = 1.0 / math.sqrt(min(state.alpha.real, state.beta.real))
     # The narrow length: sqrt of the smallest eigenvalue of Re(A^-1) for the
@@ -266,33 +247,21 @@ def gaussian_moment_quadrature(state: TwoModeGaussian, grid: GridSpec) -> gaussi
             f"grid spacing {h:.4g} under-resolves the narrowest width "
             f"{ell_narrow:.4g}; need >= {MIN_POINTS_PER_LENGTH} points per length"
         )
-    x1, x2 = x[:, None], x[None, :]
-    psi = np.exp(-0.5 * (state.alpha * x1**2 + state.beta * x2**2 + 2 * state.gamma * x1 * x2))
-    d1 = _spectral_d1(psi, h)
-    d2 = _spectral_d1(psi.T, h).T
-    density = psi.real**2 + psi.imag**2
-    norm = density.sum()
-    x1x1 = x**2 @ density.sum(axis=1) / norm
-    x2x2 = x**2 @ density.sum(axis=0) / norm
-    x1x2 = x @ density @ x / norm
-    p1p1 = np.vdot(d1, d1).real / norm
-    p2p2 = np.vdot(d2, d2).real / norm
-    p1p2 = np.vdot(d1, d2).real / norm
-
-    # The currents overwrite psi and its derivatives, which are not needed
-    # any more, so this step allocates no further complex grid.
-    conj_psi = np.conjugate(psi, out=psi)
-    j1 = np.multiply(conj_psi, d1, out=d1).imag
-    j2 = np.multiply(conj_psi, d2, out=d2).imag
-    # Symmetrized <{x,p}>/2 = Re <psi| x (-i d) |psi> = sum x Im(conj(psi) dpsi).
-    x1p1 = x @ j1.sum(axis=1) / norm
-    x2p1 = x @ j1.sum(axis=0) / norm
-    x1p2 = x @ j2.sum(axis=1) / norm
-    x2p2 = x @ j2.sum(axis=0) / norm
+    a1, b1, g1 = state.alpha.real, state.beta.real, state.gamma.real
+    kappa = abs(g1) / math.sqrt(a1 * b1)
+    weight = _cross_weight(kappa, a1, b1, g1, x)
+    powers = np.array((np.ones_like(x), x, x * x))
+    rows = powers * np.exp((kappa - 1) * a1 * x * x)
+    cols = powers * np.exp((kappa - 1) * b1 * x * x)
+    s = rows @ np.square(weight, out=weight) @ cols.T  # s[a, b] = sum x1^a x2^b |psi|^2
+    pos = np.array([[s[2, 0], s[1, 1]], [s[1, 1], s[0, 2]]]) / s[0, 0]
+    a = np.array([[state.alpha, state.gamma], [state.gamma, state.beta]])
+    mom = (a.conj() @ pos @ a).real
+    mixed = -pos @ a.imag  # mixed[j, k] = <{x_j, p_k}>/2
     return gaussian.CovarianceBlocks(
-        a_block=np.array([[x1x1, x1p1], [x1p1, p1p1]]),
-        b_block=np.array([[x2x2, x2p2], [x2p2, p2p2]]),
-        c_block=np.array([[x1x2, x1p2], [x2p1, p1p2]]),
+        a_block=np.array([[pos[0, 0], mixed[0, 0]], [mixed[0, 0], mom[0, 0]]]),
+        b_block=np.array([[pos[1, 1], mixed[1, 1]], [mixed[1, 1], mom[1, 1]]]),
+        c_block=np.array([[pos[0, 1], mixed[0, 1]], [mixed[1, 0], mom[0, 1]]]),
     )
 
 

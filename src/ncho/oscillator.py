@@ -261,11 +261,15 @@ def ground_state_lambda_closed(
 
         L11 = M1 sqrt(c2) (s1+s2) / (sqrt(c1)+sqrt(c2))
         L22 = M2 sqrt(c1) (s1+s2) / (sqrt(c1)+sqrt(c2))
-        L12 = 2i th a1 a2 M1 M2 (a2/m2 - a1/m1)
-              / [(M1 a2 sqrt(c2) + M2 a1 sqrt(c1)) (sqrt(c1)+sqrt(c2))]
+        L12 = 2i sqrt(x y) t (y - x) / ((x + y) (2 + t^2))
 
-    which are used here: they avoid catastrophic cancellation and make
-    L12 vanish identically on the separable surface a1/m1 = a2/m2.
+    with x = sqrt(a1 m2), y = sqrt(a2 m1) and t = theta sqrt(x y), which
+    are used here: they avoid catastrophic cancellation, and L12 vanishes
+    identically on the separable surface a1 m2 = a2 m1.  In L12 every
+    factor but sqrt(x y) is at most 1 (over t^2 once t > 1), so it leaves
+    the float range only where its value does.  Raises
+    ``NumericRangeError`` where L11, L22, a1 m2 or a2 m1 is not a positive
+    float.
     """
     canon = bopp_shift(params)
     c1, c2 = _char_factors(params.m1, params.m2, params.alpha1, params.alpha2, canon)
@@ -273,17 +277,18 @@ def ground_state_lambda_closed(
     sig_sum = spectrum.sigma1 + spectrum.sigma2
     lam11 = canon.big_m1 * r2 * sig_sum / (r1 + r2)
     lam22 = canon.big_m2 * r1 * sig_sum / (r1 + r2)
-    aniso = params.alpha2 / params.m2 - params.alpha1 / params.m1
-    lam12 = (
-        2j
-        * params.theta
-        * params.alpha1
-        * params.alpha2
-        * canon.big_m1
-        * canon.big_m2
-        * aniso
-        / ((canon.big_m1 * params.alpha2 * r2 + canon.big_m2 * params.alpha1 * r1) * (r1 + r2))
-    )
+    xx, yy = params.alpha1 * params.m2, params.alpha2 * params.m1
+    if not (
+        0 < lam11 < math.inf and 0 < lam22 < math.inf and 0 < xx < math.inf and 0 < yy < math.inf
+    ):
+        raise NumericRangeError(f"ground-state exponents leave the float range for params {params}")
+    x, y = math.sqrt(xx), math.sqrt(yy)
+    root = math.sqrt(x) * math.sqrt(y)
+    t = params.theta * root
+    cross = 1.0 / (params.theta + 2.0 / (t * root)) if t > 1.0 else root * t / (2.0 + t * t)
+    # The + 0.0 turns -0.0 (theta = 0 with y < x) into 0.0: under C99
+    # mixed-mode rules 2j * -0.0 has the imaginary part -0.0.
+    lam12 = 2j * ((y - x) / (x + y) * cross + 0.0)
     return GroundStateLambda(lambda11=lam11, lambda22=lam22, lambda12=lam12)
 
 

@@ -110,6 +110,26 @@ class TestAnalyze:
         assert code == 3
         assert "Traceback" not in err
 
+    def test_underflowing_cross_term_is_finite(self, capsys):
+        # Lambda12's Bopp-shifted denominator underflows to 0 here; the values
+        # are those of exact arithmetic.
+        flags = ["--m1", "2.7e143", "--m2", "7.5e130", "--alpha1", "1.8e-145"]
+        flags += ["--alpha2", "4.9e-13", "--theta", "9.3e95"]
+        code, out, err = run(capsys, "analyze", *flags)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["lambda11"] == pytest.approx(2.6068452762637697e-162, rel=1e-13, abs=0)
+        assert report["lambda22"] == pytest.approx(2.2668657062138921e-102, rel=1e-13, abs=0)
+        assert report["lambda12_imag"] == pytest.approx(2.1505376344086022e-96, rel=1e-13, abs=0)
+
+    def test_underflowing_exponent_exits_3(self, capsys):
+        # Lambda11 underflows to 0 in the Bopp-shifted closed form.
+        flags = ["--m1", "6.8e34", "--m2", "3.7e120", "--alpha1", "6.2e114"]
+        flags += ["--alpha2", "2.5e-110", "--theta", "2.9e37"]
+        code, err = exit_code(capsys, "analyze", *flags)
+        assert code == 3
+        assert "numerical failure" in err and "Traceback" not in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "analyze", "--theta", "1", "--output", str(target))
@@ -306,7 +326,7 @@ class TestPlumbing:
         assert proc.returncode == 0, proc.stderr
 
     def test_import_leaves_numpy_fft_unloaded(self):
-        # numpy.fft loads lazily; only the moment oracle needs it.
+        # numpy loads numpy.fft lazily, and no command uses it.
         proc = cold("import ncho, sys; assert 'numpy.fft' not in sys.modules")
         assert proc.returncode == 0, proc.stderr
 
@@ -343,7 +363,15 @@ class TestPlumbing:
         ],
     )
     def test_cold_sweep_and_validate_succeed(self, argv):
-        proc = cold("from ncho.cli import entrypoint; entrypoint()", *argv)
+        check = (
+            "import sys\n"
+            "from ncho.cli import entrypoint\n"
+            "try:\n"
+            "    entrypoint()\n"
+            "finally:\n"
+            "    assert 'numpy.fft' not in sys.modules, sys.argv[1]\n"
+        )
+        proc = cold(check, *argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("[" if argv[0] == "sweep" else "{")
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ncho import (
+    CovarianceBlocks,
     DomainError,
     GridConfigurationError,
     GridSpec,
@@ -18,6 +19,7 @@ from ncho import (
     build_omega_matrix,
     covariance_blocks,
     gaussian_moment_quadrature,
+    ground_state_as_gaussian,
     ground_state_lambda_closed,
     mode_spectrum,
     numeric_eigenvalues,
@@ -25,7 +27,7 @@ from ncho import (
     schrodinger_residual,
 )
 from ncho.oracles import eigen_max_err, expected_eigenvalues, failing_checks, moment_max_err
-from support import fig1, random_params
+from support import fig1, random_params, random_state
 
 UNIT = OscillatorParams(1, 1, 0.5, 0.5, 0)
 
@@ -232,12 +234,69 @@ class TestSchrodingerResidual:
             schrodinger_residual(UNIT, unit_lambda(), GridSpec(4.0, 257))
 
 
+def _fft_len(n):
+    """Smallest length >= n with no prime factor above 5, where FFTs are fast."""
+    m = n
+    while True:
+        r = m
+        for q in (2, 3, 5):
+            while r % q == 0:
+                r //= q
+        if r == 1:
+            return m
+        m += 1
+
+
+def _spectral_d1(f, h):
+    """First derivative along axis 0 by FFT, on samples zero-padded to a fast length."""
+    n = f.shape[0]
+    m = _fft_len(n)
+    k = 2 * np.pi * np.fft.fftfreq(m, h)
+    if m % 2 == 0:
+        k[m // 2] = 0.0  # the Nyquist mode's derivative is not resolved
+    spectrum = np.fft.fft(f, m, axis=0)
+    spectrum *= 1j * k[:, None]
+    return np.fft.ifft(spectrum, axis=0)[:n]
+
+
+def fft_moment_quadrature(state, grid):
+    """The moment definitions on sampled psi, differentiated by FFT."""
+    x, h = grid.axis(1.0 / math.sqrt(min(state.alpha.real, state.beta.real)))
+    x1, x2 = x[:, None], x[None, :]
+    psi = np.exp(-0.5 * (state.alpha * x1**2 + state.beta * x2**2 + 2 * state.gamma * x1 * x2))
+    d1 = _spectral_d1(psi, h)
+    d2 = _spectral_d1(psi.T, h).T
+    density = np.abs(psi) ** 2
+    norm = density.sum()
+    j1 = (np.conjugate(psi) * d1).imag
+    j2 = (np.conjugate(psi) * d2).imag
+    x1p1, x2p2 = x @ j1.sum(axis=1) / norm, x @ j2.sum(axis=0) / norm
+    return CovarianceBlocks(
+        a_block=[[x**2 @ density.sum(axis=1) / norm, x1p1], [x1p1, np.vdot(d1, d1).real / norm]],
+        b_block=[[x**2 @ density.sum(axis=0) / norm, x2p2], [x2p2, np.vdot(d2, d2).real / norm]],
+        c_block=[
+            [x @ density @ x / norm, x @ j2.sum(axis=1) / norm],
+            [x @ j1.sum(axis=0) / norm, np.vdot(d1, d2).real / norm],
+        ],
+    )
+
+
+def closed_state(p):
+    return ground_state_as_gaussian(ground_state_lambda_closed(p, mode_spectrum(p)))
+
+
+# The ten distinct second moments as (block, row, column).
+TEN_MOMENTS = [
+    (block, i, j) for block in ("a_block", "b_block") for i, j in ((0, 0), (0, 1), (1, 1))
+] + [("c_block", i, j) for i in (0, 1) for j in (0, 1)]
+
+
 class TestMomentQuadrature:
     def test_unit_product_state(self):
         cov = gaussian_moment_quadrature(TwoModeGaussian(1, 1, 0), GridSpec())
-        assert cov.a_block[0, 0] == pytest.approx(0.5, abs=1e-10)
-        assert cov.b_block[1, 1] == pytest.approx(0.5, abs=1e-10)
-        assert np.abs(cov.c_block).max() < 1e-9
+        assert cov.a_block[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert cov.b_block[1, 1] == pytest.approx(0.5, abs=1e-12)
+        assert np.abs(cov.c_block).max() < 1e-12
 
     def test_imaginary_cross_coefficient(self):
         state = TwoModeGaussian(1, 1, 0.3j)
@@ -245,7 +304,7 @@ class TestMomentQuadrature:
         closed = covariance_blocks(state)
         for name in ("a_block", "b_block", "c_block"):
             np.testing.assert_allclose(
-                getattr(quad, name), getattr(closed, name), atol=1e-10
+                getattr(quad, name), getattr(closed, name), atol=1e-12
             )
 
     def test_generic_complex_state(self):
@@ -254,8 +313,64 @@ class TestMomentQuadrature:
         closed = covariance_blocks(state)
         for name in ("a_block", "b_block", "c_block"):
             np.testing.assert_allclose(
-                getattr(quad, name), getattr(closed, name), atol=1e-10
+                getattr(quad, name), getattr(closed, name), atol=1e-12
             )
+
+    def test_matches_fft_route_on_validation_box(self):
+        points = validation_box_points(13, 12) + [
+            OscillatorParams(1, 1, 5, 20, 1),
+            OscillatorParams(1, 1, 5, 100, 1),
+        ]
+        for p in points:
+            state = closed_state(p)
+            for grid in (GridSpec(), GridSpec(8.0, 129)):
+                fft = fft_moment_quadrature(state, grid)
+                assert moment_max_err(fft, gaussian_moment_quadrature(state, grid)) < 1e-12
+
+    def test_matches_fft_route_on_random_states(self):
+        # test_07's states at 96 points, 1.49 or more per narrow length.  The
+        # position sums agree; the momentum moments differ by up to 1.5e-10,
+        # the size of each route's own error (FFT 1.45e-10, exact 1.15e-10).
+        rng = np.random.default_rng(107)
+        grid = GridSpec(8.0, 96)
+        worst_fft = worst_new = 0.0
+        for _ in range(50):
+            state = random_state(rng)
+            closed = covariance_blocks(state)
+            fft = fft_moment_quadrature(state, grid)
+            quad = gaussian_moment_quadrature(state, grid)
+            for name in ("a_block", "b_block", "c_block"):  # <x1^2>, <x2^2>, <x1 x2>
+                assert getattr(quad, name)[0, 0] == pytest.approx(
+                    getattr(fft, name)[0, 0], rel=1e-12, abs=1e-12 * fft.a_block[0, 0]
+                )
+            worst_fft = max(worst_fft, moment_max_err(closed, fft))
+            worst_new = max(worst_new, moment_max_err(closed, quad))
+        assert worst_new <= worst_fft < 1e-9
+
+    @pytest.mark.parametrize("entry", TEN_MOMENTS, ids=lambda e: f"{e[0][0]}{e[1]}{e[2]}")
+    def test_catches_a_wrong_closed_form_entry(self, entry):
+        state = TwoModeGaussian(1.3 + 0.4j, 0.8 - 0.6j, 0.5 + 0.7j)
+        quad = gaussian_moment_quadrature(state, GridSpec())
+        closed = covariance_blocks(state)
+        assert moment_max_err(closed, quad) < 1e-12
+        name, i, j = entry
+        wrong = {n: getattr(closed, n).copy() for n in ("a_block", "b_block", "c_block")}
+        wrong[name][i, j] *= 1 + 1e-6
+        if name != "c_block":
+            wrong[name][j, i] = wrong[name][i, j]
+        assert moment_max_err(CovarianceBlocks(**wrong), quad) > 1e-7
+
+    def test_moment_memory_stays_below_a_complex_grid(self):
+        # The FFT route peaked at 5.9 MB on the default grid.
+        state = closed_state(fig1(1.0))
+        gaussian_moment_quadrature(state, GridSpec())
+        tracemalloc.start()
+        try:
+            gaussian_moment_quadrature(state, GridSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_under_resolved_grid_rejected(self):
         # widths differ by 400x: 33 points cannot resolve the narrow mode
@@ -270,13 +385,13 @@ class TestMomentQuadrature:
         # 1.59 points per narrow length
         state = TwoModeGaussian(1 + 10j, 1, 0)
         quad = gaussian_moment_quadrature(state, GridSpec())
-        assert moment_max_err(covariance_blocks(state), quad) < 1e-9
+        assert moment_max_err(covariance_blocks(state), quad) < 1e-12
 
     def test_strongly_anisotropic_state_resolved(self):
-        # 6.0 points per narrow length on the default grid: enough for the
-        # spectral derivatives; only the O(h^2) Schrodinger residual fails.
+        # 6.0 points per narrow length on the default grid, well above the
+        # guard; only the O(h^2) Schrodinger residual fails.
         report = run_validation(OscillatorParams(1, 1, 5, 100, 1))
-        assert report.moment_max_err < 1e-9
+        assert report.moment_max_err < 1e-12
         assert failing_checks(report) == ["schrodinger_residual"]
 
 

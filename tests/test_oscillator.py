@@ -214,12 +214,44 @@ class TestGroundStateLambda:
         assert lam.lambda11 == pytest.approx(math.sqrt(10), rel=1e-13)
         assert lam.lambda22 == pytest.approx(math.sqrt(20), rel=1e-13)
         assert lam.lambda12 == 0
+        # With alpha1/m1 > alpha2/m2 the cross term is 0.0 * (y - x); analyze
+        # must print 0.0 there, not -0.0.
+        swapped = OscillatorParams(1, 1, 10, 5, 0)
+        lam12 = ground_state_lambda_closed(swapped, mode_spectrum(swapped)).lambda12
+        assert lam12 == 0 and math.copysign(1.0, lam12.imag) == 1.0
 
     def test_isotropic_cross_term_vanishes(self):
         for theta in (0.1, 1.0, 10.0):
             p = OscillatorParams(1, 1, 3, 3, theta)
             lam = ground_state_lambda_closed(p, mode_spectrum(p))
             assert lam.lambda12 == 0
+
+    @pytest.mark.parametrize(
+        "inputs, expected",
+        [
+            # 2 sqrt(x y) t (y - x) underflows unless divided by x + y first.
+            (
+                (4.5e-78, 3.4e43, 2.7e-133, 2.8e-131, 4e-134),
+                (1.5588457268119895e-105, 4.3634848458542858e-44, -1.3603999411937653e-282),
+            ),
+            # t^2 = theta^2 x y overflows.
+            (
+                (8.2e122, 8.8e133, 1.6e47, 4.1e-111, 5.8e107),
+                (2.1052204878220459e-113, 1.1039869374884222e-186, -3.4482758620689657e-108),
+            ),
+            # Exponents near 1e100.
+            (
+                (4.1e148, 1.5e99, 1.4e136, 2.5e83, 1.8e-101),
+                (1.136693621923251e126, 9.1876218264019845e74, -1.0630770385665509e101),
+            ),
+        ],
+    )
+    def test_extreme_scales_match_exact_arithmetic(self, inputs, expected):
+        # The expected values come from 60-digit arithmetic.
+        p = OscillatorParams(*inputs)
+        lam = ground_state_lambda_closed(p, mode_spectrum(p))
+        got = (lam.lambda11, lam.lambda22, lam.lambda12.imag)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_closed_matches_printed_expressions(self):
         # The implementation uses a cancellation-free rearrangement; check
