@@ -14,7 +14,7 @@ immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericRangeError
@@ -26,8 +26,7 @@ if TYPE_CHECKING:
 OMEGA_LIMIT_GUARD = 1e-15
 
 
-@dataclass(frozen=True)
-class TwoModeGaussian:
+class TwoModeGaussian(namedtuple("TwoModeGaussian", "alpha beta gamma")):
     """Exponent coefficients of a normalized two-mode Gaussian.
 
     Requires Re(alpha) > 0, Re(beta) > 0 and
@@ -35,20 +34,20 @@ class TwoModeGaussian:
     integrable.
     """
 
-    alpha: complex
-    beta: complex
-    gamma: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.alpha.real > 0):
-            raise DomainError(f"Re(alpha) > 0 violated: Re(alpha) = {self.alpha.real}")
-        if not (self.beta.real > 0):
-            raise DomainError(f"Re(beta) > 0 violated: Re(beta) = {self.beta.real}")
+    def __new__(cls, alpha, beta, gamma):
+        self = tuple.__new__(cls, (alpha, beta, gamma))
+        if not (alpha.real > 0):
+            raise DomainError(f"Re(alpha) > 0 violated: Re(alpha) = {alpha.real}")
+        if not (beta.real > 0):
+            raise DomainError(f"Re(beta) > 0 violated: Re(beta) = {beta.real}")
         if not (self.delta_sq > 0):
-            raise DomainError(
-                "Re(alpha)*Re(beta) - Re(gamma)^2 > 0 violated: "
-                f"got {self.delta_sq}"
-            )
+            raise DomainError(f"Re(alpha)*Re(beta) - Re(gamma)^2 > 0 violated: got {self.delta_sq}")
+        return self
+
+    # namedtuple's own _make, which _replace calls, would skip these checks.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def delta_sq(self) -> float:
@@ -60,27 +59,29 @@ class TwoModeGaussian:
         return math.sqrt(self.delta_sq)
 
 
-@dataclass(frozen=True)
-class CovarianceBlocks:
+class CovarianceBlocks(namedtuple("CovarianceBlocks", "a_block b_block c_block")):
     """Second-moment blocks of a two-mode state.
 
     ``a_block`` and ``b_block`` are the symmetric single-mode blocks
     [[<x^2>, <{x,p}/2>], [<{x,p}/2>, <p^2>]]; ``c_block`` holds the cross
-    moments [[<x1 x2>, <x1 p2>], [<x2 p1>, <p1 p2>]].
+    moments [[<x1 x2>, <x1 p2>], [<x2 p1>, <p1 p2>]], each as a 2x2 float
+    array.
     """
 
-    a_block: np.ndarray
-    b_block: np.ndarray
-    c_block: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a_block, b_block, c_block):
         import numpy as np
 
-        for name in ("a_block", "b_block", "c_block"):
-            m = np.asarray(getattr(self, name), dtype=float)
+        blocks = []
+        for name, block in (("a_block", a_block), ("b_block", b_block), ("c_block", c_block)):
+            m = np.asarray(block, dtype=float)
             if m.shape != (2, 2):
                 raise DomainError(f"{name} must be a 2x2 matrix, got shape {m.shape}")
-            object.__setattr__(self, name, m)
+            blocks.append(m)
+        return tuple.__new__(cls, blocks)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # checked, as above
 
 
 def normalization(state: TwoModeGaussian) -> float:

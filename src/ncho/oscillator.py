@@ -21,7 +21,7 @@ inputs are treated as plain numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -43,52 +43,36 @@ _FLOAT_OPS = SimpleNamespace(
 )
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(namedtuple("OscillatorParams", "m1 m2 alpha1 alpha2 theta")):
     """Physical inputs: masses, potential stiffnesses and the deformation.
 
     The stiffnesses enter the Hamiltonian as alpha_i * X_i^2, i.e.
     alpha_i = m_i * omega_i^2 / 2 for the commutative oscillator.
     """
 
-    m1: float
-    m2: float
-    alpha1: float
-    alpha2: float
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("m1", "m2", "alpha1", "alpha2"):
-            v = getattr(self, name)
+    def __new__(cls, m1, m2, alpha1, alpha2, theta):
+        for name, v in (("m1", m1), ("m2", m2), ("alpha1", alpha1), ("alpha2", alpha2)):
             if not (v > 0) or not math.isfinite(v):
                 raise DomainError(f"{name} must be positive and finite, got {v}")
-        if not (self.theta >= 0) or not math.isfinite(self.theta):
-            raise DomainError(f"theta must be nonnegative and finite, got {self.theta}")
+        if not (theta >= 0) or not math.isfinite(theta):
+            raise DomainError(f"theta must be nonnegative and finite, got {theta}")
+        return tuple.__new__(cls, (m1, m2, alpha1, alpha2, theta))
+
+    # namedtuple's own _make, which _replace calls, would skip these checks.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class CanonicalSystem:
-    """Bopp-shifted effective masses and squared frequencies."""
-
-    big_m1: float
-    big_m2: float
-    omega1_sq: float
-    omega2_sq: float
+CanonicalSystem = namedtuple("CanonicalSystem", "big_m1 big_m2 omega1_sq omega2_sq")
+CanonicalSystem.__doc__ = "Bopp-shifted effective masses and squared frequencies."
 
 
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """Characteristic quartic lambda^4 + b*lambda^2 + c and its mode frequencies."""
-
-    b: float
-    c: float
-    d: float
-    sigma1: float
-    sigma2: float
+ModeSpectrum = namedtuple("ModeSpectrum", "b c d sigma1 sigma2")
+ModeSpectrum.__doc__ = "Characteristic quartic lambda^4 + b*lambda^2 + c and its mode frequencies."
 
 
-@dataclass(frozen=True)
-class GroundStateLambda:
+class GroundStateLambda(namedtuple("GroundStateLambda", "lambda11 lambda22 lambda12")):
     """Exponent matrix of the ground state, psi00 ~ exp(-x^T Lambda x / 2).
 
     The diagonal entries are real and positive; the off-diagonal entry is
@@ -96,25 +80,20 @@ class GroundStateLambda:
     lambda21 equals lambda12.
     """
 
-    lambda11: float
-    lambda22: float
-    lambda12: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.lambda11 > 0 and self.lambda22 > 0):
+    def __new__(cls, lambda11, lambda22, lambda12):
+        if not (lambda11 > 0 and lambda22 > 0):
             raise DomainError(
-                f"diagonal exponent coefficients must be positive, got "
-                f"({self.lambda11}, {self.lambda22})"
+                f"diagonal exponent coefficients must be positive, got ({lambda11}, {lambda22})"
             )
+        return tuple.__new__(cls, (lambda11, lambda22, lambda12))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # checked, as above
 
 
-@dataclass(frozen=True)
-class AsymptoticBounds:
-    """theta -> infinity limits: E_S limit, Omega bound and the E_F bound."""
-
-    e_s_limit: float
-    omega0: float
-    e_f_bound: float
+AsymptoticBounds = namedtuple("AsymptoticBounds", "e_s_limit omega0 e_f_bound")
+AsymptoticBounds.__doc__ = "theta -> infinity limits: E_S limit, Omega bound and the E_F bound."
 
 
 def _canonical(m1, m2, alpha1, alpha2, th2) -> CanonicalSystem:
@@ -222,7 +201,7 @@ def mode_spectrum(params: OscillatorParams) -> ModeSpectrum:
 
     sigma_{1,2} = sqrt((b +- sqrt(D))/2) with D = b^2 - 4c, which is never
     negative.  Raises ``NumericRangeError`` when theta is so large that b^2
-    overflows.
+    overflows, or when b and D are so small that sigma1 underflows to 0.
     """
     p = params
     th2 = p.theta * p.theta
@@ -230,12 +209,19 @@ def mode_spectrum(params: OscillatorParams) -> ModeSpectrum:
     if not math.isfinite(b * b):
         raise _b_overflow(b, params)
     c, d = _quartic_c_d(p.m1, p.m2, p.alpha1, p.alpha2, th2)
-    sigma1, sigma2 = _mode_frequencies(b, c, d, _FLOAT_OPS)
+    try:
+        sigma1, sigma2 = _mode_frequencies(b, c, d, _FLOAT_OPS)
+    except ZeroDivisionError:
+        raise _sigma1_underflow(params) from None
     return ModeSpectrum(b=b, c=c, d=d, sigma1=sigma1, sigma2=sigma2)
 
 
 def _b_overflow(b, params) -> NumericRangeError:
     return NumericRangeError(f"quartic coefficient b = {b} overflows b^2 for params {params}")
+
+
+def _sigma1_underflow(params) -> NumericRangeError:
+    return NumericRangeError(f"mode frequency sigma1 underflows to 0 for params {params}")
 
 
 def energy_level(spectrum: ModeSpectrum, n1: int, n2: int) -> float:
@@ -269,14 +255,17 @@ def ground_state_lambda_closed(
     factor but sqrt(x y) is at most 1 (over t^2 once t > 1), so it leaves
     the float range only where its value does.  Raises
     ``NumericRangeError`` where L11, L22, a1 m2 or a2 m1 is not a positive
-    float.
+    float, or where a denominator of L11 or L22 underflows to 0.
     """
     canon = bopp_shift(params)
-    c1, c2 = _char_factors(params.m1, params.m2, params.alpha1, params.alpha2, canon)
-    r1, r2 = math.sqrt(c1), math.sqrt(c2)
-    sig_sum = spectrum.sigma1 + spectrum.sigma2
-    lam11 = canon.big_m1 * r2 * sig_sum / (r1 + r2)
-    lam22 = canon.big_m2 * r1 * sig_sum / (r1 + r2)
+    try:
+        c1, c2 = _char_factors(params.m1, params.m2, params.alpha1, params.alpha2, canon)
+        r1, r2 = math.sqrt(c1), math.sqrt(c2)
+        sig_sum = spectrum.sigma1 + spectrum.sigma2
+        lam11 = canon.big_m1 * r2 * sig_sum / (r1 + r2)
+        lam22 = canon.big_m2 * r1 * sig_sum / (r1 + r2)
+    except ZeroDivisionError:  # m2*M1/M2 or sqrt(c1) + sqrt(c2) underflowed to 0
+        lam11 = lam22 = 0.0  # which the range check below rejects
     xx, yy = params.alpha1 * params.m2, params.alpha2 * params.m1
     if not (
         0 < lam11 < math.inf and 0 < lam22 < math.inf and 0 < xx < math.inf and 0 < yy < math.inf
@@ -405,6 +394,9 @@ def entanglement_columns(m1, m2, alpha1, alpha2, theta) -> dict[str, np.ndarray]
             raise _b_overflow(b[overflow][0], row(overflow))
         c, d = _quartic_c_d(m1, m2, alpha1, alpha2, th2)
         sigma1, sigma2 = _mode_frequencies(b, c, d, np)
+        underflow = sigma1 == 0
+        if underflow.any():
+            raise _sigma1_underflow(row(underflow))
         e_s = _simon(m1, m2, alpha1, alpha2, theta, np)
         omega, e_f = gaussian.formation_columns(e_s)
     return {"e_s": e_s, "omega": omega, "e_f": e_f, "sigma1": sigma1, "sigma2": sigma2}
@@ -427,5 +419,11 @@ def asymptotic_bounds(params: OscillatorParams) -> AsymptoticBounds:
 
 
 def anisotropy_ratio(params: OscillatorParams) -> float:
-    """Generalized anisotropy r = (alpha1/m1)/(alpha2/m2); r = 1 iff separable for all theta."""
-    return (params.alpha1 / params.m1) / (params.alpha2 / params.m2)
+    """Generalized anisotropy r = (alpha1/m1)/(alpha2/m2); r = 1 iff separable for all theta.
+
+    Raises ``NumericRangeError`` where alpha2/m2 underflows to 0.
+    """
+    try:
+        return (params.alpha1 / params.m1) / (params.alpha2 / params.m2)
+    except ZeroDivisionError:
+        raise NumericRangeError(f"alpha2/m2 underflows to 0 for params {params}") from None

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from ncho import OscillatorParams, cli, entanglement_of_formation, es_closed_form, mode_spectrum
+from ncho import (
+    NumericRangeError,
+    OscillatorParams,
+    cli,
+    entanglement_of_formation,
+    es_closed_form,
+    mode_spectrum,
+)
 from support import fig1
 
 
@@ -36,6 +44,8 @@ def exit_code(capsys, *argv):
 
 
 FIG1_FLAGS = ["--m1", "1", "--m2", "1", "--alpha1", "5", "--alpha2", "10"]
+# b, c and D of the quartic, and so sigma1, underflow to 0 here for theta <= 1.
+SIGMA1_UNDERFLOW_FLAGS = ["--m1", "1e200", "--m2", "1e200", "--alpha1", "1e-200", "--alpha2", "1e-200"]
 RATIO_FLAGS = ["--kind", "ratio", "--start", "0.1", "--stop", "10", "--steps", "100",
                "--theta", "1", "--product", "2"]
 
@@ -130,6 +140,23 @@ class TestAnalyze:
         assert code == 3
         assert "numerical failure" in err and "Traceback" not in err
 
+    def test_underflowing_sigma1_exits_3(self, capsys):
+        code, err = exit_code(capsys, "analyze", *SIGMA1_UNDERFLOW_FLAGS, "--theta", "0")
+        assert code == 3
+        assert "sigma1 underflows" in err and "Traceback" not in err
+
+    def test_valid_inputs_raise_only_range_errors(self):
+        # Log-uniform over 1e-300..1e300 in all five inputs: each point gives
+        # a report or NumericRangeError (exit 3), never an untyped error or a
+        # DomainError (exit 2).  r = inf is still returned at some points.
+        rng = random.Random(3)
+        for _ in range(20_000):
+            p = OscillatorParams(*(10 ** rng.uniform(-300, 300) for _ in range(5)))
+            try:
+                cli.analyze_report(p)
+            except NumericRangeError:
+                pass
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "analyze", "--theta", "1", "--output", str(target))
@@ -223,8 +250,10 @@ class TestSweep:
             (["--kind", "ratio", "--start", "1", "--stop", "1e300", "--product", "1e300"], 2, "alpha"),
             (["--kind", "ratio", "--start", "1", "--stop", "2", "--product", "-2"], 2, "alpha"),
             (["--kind", "theta", "--start", "0", "--stop", "1e200", *FIG1_FLAGS], 3, "overflows"),
+            (["--kind", "theta", "--start", "0", "--stop", "1", *SIGMA1_UNDERFLOW_FLAGS], 3, "sigma1"),
         ],
-        ids=["negative-theta", "alpha-overflow", "negative-product", "b-squared-overflow"],
+        ids=["negative-theta", "alpha-overflow", "negative-product", "b-squared-overflow",
+             "sigma1-underflow"],
     )
     def test_error_contract(self, capsys, flags, code, word):
         with warnings.catch_warnings():
@@ -258,6 +287,11 @@ class TestSpectrum:
     def test_negative_n_max_rejected(self, capsys):
         code, _, _ = run(capsys, "spectrum", "--n-max", "-1")
         assert code == 2
+
+    def test_underflowing_sigma1_exits_3(self, capsys):
+        code, err = exit_code(capsys, "spectrum", *SIGMA1_UNDERFLOW_FLAGS)
+        assert code == 3
+        assert "sigma1 underflows" in err and "Traceback" not in err
 
 
 class TestValidate:
@@ -332,12 +366,14 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("command", ["analyze", "spectrum"])
     def test_cold_path_leaves_numpy_unloaded(self, command):
+        # dataclasses would bring inspect, ast, dis and tokenize with it.
         check = (
             "import sys, ncho\n"
-            "assert 'numpy' not in sys.modules, 'import ncho'\n"
+            "unwanted = {'numpy', 'dataclasses', 'inspect'}\n"
+            "assert not unwanted & set(sys.modules), 'import ncho'\n"
             "from ncho import cli\n"
             "assert cli.main(sys.argv[1:]) == 0\n"
-            "assert 'numpy' not in sys.modules, sys.argv[1]\n"
+            "assert not unwanted & set(sys.modules), (sys.argv[1], unwanted & set(sys.modules))\n"
         )
         proc = cold(check, command, *FIG1_FLAGS, "--theta", "1")
         assert proc.returncode == 0, proc.stderr

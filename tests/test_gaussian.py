@@ -59,6 +59,13 @@ class TestNormalization:
         with pytest.raises(DomainError, match="Re\\(beta\\) > 0"):
             TwoModeGaussian(1, 0, 0)
 
+    def test_make_and_replace_are_checked(self):
+        state = TwoModeGaussian(1, 1, 0.5)
+        with pytest.raises(DomainError, match="Re\\(alpha\\)\\*Re\\(beta\\)"):
+            state._replace(gamma=1.5)
+        with pytest.raises(DomainError, match="Re\\(alpha\\) > 0"):
+            TwoModeGaussian._make([-1, 1, 0])
+
 
 class TestCovarianceBlocks:
     def test_product_ground_state(self):
@@ -85,6 +92,12 @@ class TestCovarianceBlocks:
     def test_block_shapes_validated(self):
         with pytest.raises(DomainError):
             CovarianceBlocks(np.eye(3), np.eye(2), np.zeros((2, 2)))
+
+    def test_replace_is_checked(self):
+        cov = covariance_blocks(TwoModeGaussian(1, 1, 0))
+        with pytest.raises(DomainError, match="c_block"):
+            cov._replace(c_block=np.zeros(3))
+        assert cov._replace(c_block=[[0, 0], [0, 0]]).c_block.dtype == float
 
 
 class TestSimonFunctional:

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from ncho import (
     DomainError,
     GroundStateLambda,
+    NumericRangeError,
     OscillatorParams,
     anisotropy_ratio,
     asymptotic_bounds,
@@ -36,6 +38,34 @@ class TestParams:
             OscillatorParams(1, 1, -2, 1, 0)
         with pytest.raises(DomainError):
             OscillatorParams(1, 1, 1, 1, -0.1)
+
+    def test_make_and_replace_are_checked(self):
+        p = fig1(1.0)
+        with pytest.raises(DomainError, match="m1 must be positive"):
+            p._replace(m1=-1.0)
+        with pytest.raises(DomainError, match="theta must be nonnegative"):
+            OscillatorParams._make([1.0, 1.0, 1.0, 1.0, math.nan])
+        assert p._replace(theta=2.0) == fig1(2.0)
+
+    def test_fields_are_read_only(self):
+        p = fig1(1.0)
+        with pytest.raises(AttributeError):
+            p.m1 = 2.0
+        with pytest.raises(AttributeError):
+            p.extra = 2.0
+
+    def test_repr_names_every_field(self):
+        # NumericRangeError messages embed it.
+        assert repr(OscillatorParams(1.0, 2, alpha1=5.0, alpha2=1e-200, theta=0.5)) == (
+            "OscillatorParams(m1=1.0, m2=2, alpha1=5.0, alpha2=1e-200, theta=0.5)"
+        )
+
+    def test_value_semantics(self):
+        p = OscillatorParams(m1=1.0, m2=1.0, alpha1=5.0, alpha2=10.0, theta=1.0)
+        assert p == fig1(1.0) and hash(p) == hash(fig1(1.0)) and p != fig1(2.0)
+        assert pickle.loads(pickle.dumps(p)) == p
+        # A tuple of its fields, in order.
+        assert p == (1.0, 1.0, 5.0, 10.0, 1.0) and list(p) == [1.0, 1.0, 5.0, 10.0, 1.0]
 
 
 class TestBoppShift:
@@ -166,6 +196,11 @@ class TestModeSpectrum:
         assert s.sigma1 == pytest.approx(math.sqrt(20), rel=1e-14)
         assert s.sigma2 == pytest.approx(math.sqrt(10), rel=1e-14)
 
+    def test_underflowing_sigma1_raises(self):
+        # b and D underflow to 0, so sigma2 = sqrt(c)/sigma1 would divide by 0.
+        with pytest.raises(NumericRangeError, match="sigma1 underflows"):
+            mode_spectrum(OscillatorParams(1e200, 1e200, 1e-200, 1e-200, 0.0))
+
     def test_fig1_spectrum(self):
         s = mode_spectrum(fig1(1.0))
         assert s.b == pytest.approx(230.0, rel=1e-14)
@@ -219,6 +254,18 @@ class TestGroundStateLambda:
         swapped = OscillatorParams(1, 1, 10, 5, 0)
         lam12 = ground_state_lambda_closed(swapped, mode_spectrum(swapped)).lambda12
         assert lam12 == 0 and math.copysign(1.0, lam12.imag) == 1.0
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            (3e-274, 5e68, 9e-274, 1e131, 4e-102),  # m2 * M1/M2 underflows
+            (4e201, 7e148, 6e-126, 3e-294, 1e107),  # sqrt(c1) + sqrt(c2) underflows
+        ],
+    )
+    def test_underflowing_denominator_raises(self, inputs):
+        p = OscillatorParams(*inputs)
+        with pytest.raises(NumericRangeError, match="leave the float range"):
+            ground_state_lambda_closed(p, mode_spectrum(p))
 
     def test_isotropic_cross_term_vanishes(self):
         for theta in (0.1, 1.0, 10.0):
@@ -314,6 +361,10 @@ class TestGroundStateLambda:
     def test_invalid_diagonal_rejected(self):
         with pytest.raises(DomainError):
             GroundStateLambda(-1.0, 2.0, 0j)
+
+    def test_replace_is_checked(self):
+        with pytest.raises(DomainError):
+            GroundStateLambda(1.0, 2.0, 0j)._replace(lambda22=0.0)
 
 
 class TestGroundStateAsGaussian:
@@ -420,6 +471,10 @@ class TestAnisotropyRatio:
 
     def test_generic(self):
         assert anisotropy_ratio(OscillatorParams(2, 1, 4, 1, 0.3)) == pytest.approx(2.0)
+
+    def test_underflowing_denominator_raises(self):
+        with pytest.raises(NumericRangeError, match="alpha2/m2 underflows"):
+            anisotropy_ratio(OscillatorParams(1.0, 1e200, 1.0, 1e-200, 0.0))
 
 
 class TestMonotoneSaturation:
