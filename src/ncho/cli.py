@@ -96,7 +96,7 @@ def _config_argv(path: str, args: argparse.Namespace) -> list[str]:
     with open(path) as fh:
         try:
             overrides = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise DomainError(f"configuration file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(overrides, dict):
         raise DomainError(f"configuration file {path!r} must hold a JSON object")
@@ -200,17 +200,21 @@ def sweep_rows(kind: str, start: float, stop: float, steps: int,
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    import numpy as np
+
     cols = sweep_rows(
         args.kind, args.start, args.stop, args.steps,
         args.m1, args.m2, args.alpha1, args.alpha2, args.theta, args.product,
     )
     keys = SWEEP_HEADER.split(",")
-    rows = zip(*(cols[k].tolist() for k in keys))
+    # One row-major (steps x 6) table, converted to Python floats in one call.
+    table = np.column_stack([cols[k] for k in keys])
     if args.format == "json":
-        text = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+        text = json.dumps([dict(zip(keys, row)) for row in table.tolist()], indent=2) + "\n"
     else:
-        line = ",".join(["%.12g"] * len(keys))  # _fmt's format
-        text = "\n".join([SWEEP_HEADER] + [line % row for row in rows]) + "\n"
+        # One % over every row's template: _fmt's format, 6 values a line.
+        line = ",".join(["%.12g"] * len(keys)) + "\n"
+        text = SWEEP_HEADER + "\n" + line * len(table) % tuple(table.ravel().tolist())
     _emit(text, args.output)
     return EXIT_OK
 

@@ -21,6 +21,7 @@ inputs are treated as plain numbers.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -41,6 +42,10 @@ _FLOAT_OPS = SimpleNamespace(
     minimum=lambda a, b: b if b < a else a,
     maximum=lambda a, b: b if b > a else a,
 )
+
+#: The smallest and largest positive normal floats; below the first a
+#: quotient loses precision.
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 class OscillatorParams(namedtuple("OscillatorParams", "m1 m2 alpha1 alpha2 theta")):
@@ -354,10 +359,23 @@ def es_closed_form(params: OscillatorParams) -> float:
           / [2 theta^2 a1 m2 a2 m1 + (sqrt(a1 m2) + sqrt(a2 m1))^2]
 
     Never positive; zero exactly when theta = 0 or a1/m1 = a2/m2, and
-    finite for every theta.
+    finite for every theta.  Raises ``NumericRangeError`` where a1 m2 or
+    a2 m1 leaves the float range so far that E_S is not finite.
     """
     p = params
-    return _simon(p.m1, p.m2, p.alpha1, p.alpha2, p.theta, _FLOAT_OPS)
+    try:
+        e_s = _simon(p.m1, p.m2, p.alpha1, p.alpha2, p.theta, _FLOAT_OPS)
+    except ZeroDivisionError:  # sqrt(a1 m2) + sqrt(a2 m1) underflowed to 0
+        e_s = math.nan
+    if not math.isfinite(e_s):
+        raise _es_range(params)
+    return e_s
+
+
+def _es_range(params) -> NumericRangeError:
+    return NumericRangeError(
+        f"E_S is not finite: alpha1*m2 or alpha2*m1 leaves the float range for params {params}"
+    )
 
 
 def entanglement_columns(m1, m2, alpha1, alpha2, theta) -> dict[str, np.ndarray]:
@@ -398,6 +416,9 @@ def entanglement_columns(m1, m2, alpha1, alpha2, theta) -> dict[str, np.ndarray]
         if underflow.any():
             raise _sigma1_underflow(row(underflow))
         e_s = _simon(m1, m2, alpha1, alpha2, theta, np)
+        nonfinite = ~np.isfinite(e_s)
+        if nonfinite.any():
+            raise _es_range(row(nonfinite))
         omega, e_f = gaussian.formation_columns(e_s)
     return {"e_s": e_s, "omega": omega, "e_f": e_f, "sigma1": sigma1, "sigma2": sigma2}
 
@@ -408,12 +429,18 @@ def asymptotic_bounds(params: OscillatorParams) -> AsymptoticBounds:
     E_S(inf) = -(1/16) (sqrt(a1 m2) - sqrt(a2 m1))^2 / sqrt(a1 m2 a2 m1),
     Omega0 = (sqrt(a1 m2) + sqrt(a2 m1)) / (4 (a1 m2 a2 m1)^(1/4)), and
     the E_F bound is the formation entropy evaluated at Omega0.
-    Omega0^2 = 1/4 - E_S(inf) holds identically.
+    Omega0^2 = 1/4 - E_S(inf) holds identically.  Raises
+    ``NumericRangeError`` where E_S(inf) or Omega0 is not finite.
     """
     x = math.sqrt(params.alpha1 * params.m2)
     y = math.sqrt(params.alpha2 * params.m1)
-    e_s_limit = -(x - y) ** 2 / (16 * x * y)
-    omega0 = (x + y) / (4 * math.sqrt(x * y))
+    try:
+        e_s_limit = -(x - y) ** 2 / (16 * x * y)
+        omega0 = (x + y) / (4 * math.sqrt(x * y))
+    except ZeroDivisionError:  # x*y underflowed to 0
+        e_s_limit = omega0 = math.nan
+    if not (math.isfinite(e_s_limit) and math.isfinite(omega0)):
+        raise _es_range(params)
     _, e_f_bound = gaussian.entanglement_of_formation(e_s_limit)
     return AsymptoticBounds(e_s_limit=e_s_limit, omega0=omega0, e_f_bound=e_f_bound)
 
@@ -421,9 +448,24 @@ def asymptotic_bounds(params: OscillatorParams) -> AsymptoticBounds:
 def anisotropy_ratio(params: OscillatorParams) -> float:
     """Generalized anisotropy r = (alpha1/m1)/(alpha2/m2); r = 1 iff separable for all theta.
 
-    Raises ``NumericRangeError`` where alpha2/m2 underflows to 0.
+    Where a quotient of that grouping is not a normal float, r is formed
+    from the inputs' mantissas, whose quotients cannot leave the float
+    range, and their exponents.  Raises ``NumericRangeError`` where r itself
+    is not a normal float.
     """
+    p = params
+    u, v = p.alpha1 / p.m1, p.alpha2 / p.m2
+    if _TINY <= u <= _HUGE and _TINY <= v <= _HUGE:
+        r = u / v
+        if _TINY <= r <= _HUGE:
+            return r
+    (f1, e1), (f2, e2), (g1, k1), (g2, k2) = map(math.frexp, (p.alpha1, p.alpha2, p.m1, p.m2))
+    # The mantissas lie in [1/2, 1), so their quotients and product are normal.
     try:
-        return (params.alpha1 / params.m1) / (params.alpha2 / params.m2)
-    except ZeroDivisionError:
-        raise NumericRangeError(f"alpha2/m2 underflows to 0 for params {params}") from None
+        r = math.ldexp((f1 / g1) * (g2 / f2), e1 - k1 + k2 - e2)
+    except OverflowError:
+        r = math.inf
+    if not _TINY <= r <= _HUGE:
+        why = " (alpha2/m2 underflows to 0)" if v == 0 else ""
+        raise NumericRangeError(f"r leaves the float range{why} for params {params}")
+    return r

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,12 @@ import random
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ncho import (
     NumericRangeError,
@@ -46,6 +51,8 @@ def exit_code(capsys, *argv):
 FIG1_FLAGS = ["--m1", "1", "--m2", "1", "--alpha1", "5", "--alpha2", "10"]
 # b, c and D of the quartic, and so sigma1, underflow to 0 here for theta <= 1.
 SIGMA1_UNDERFLOW_FLAGS = ["--m1", "1e200", "--m2", "1e200", "--alpha1", "1e-200", "--alpha2", "1e-200"]
+# alpha1*m2 and alpha2*m1 underflow to 0, so E_S is 0/0 here.
+ES_RANGE_FLAGS = ["--m1", "1e-200", "--m2", "1e-200", "--alpha1", "1e-200", "--alpha2", "1e-200"]
 RATIO_FLAGS = ["--kind", "ratio", "--start", "0.1", "--stop", "10", "--steps", "100",
                "--theta", "1", "--product", "2"]
 
@@ -67,6 +74,15 @@ def scalar_sweep(flags: list[str]) -> list[dict]:
         rows.append(dict(sweep_value=value, e_s=e_s, omega=omega, e_f=e_f,
                          sigma1=spec.sigma1, sigma2=spec.sigma2))
     return rows
+
+
+def per_value_rows(flags: list[str]) -> list[dict]:
+    """The rows of ``ncho sweep FLAGS`` from ``sweep_rows``' columns, as dicts of floats."""
+    a = cli.build_parser().parse_args(["sweep", *flags])
+    cols = cli.sweep_rows(a.kind, a.start, a.stop, a.steps,
+                          a.m1, a.m2, a.alpha1, a.alpha2, a.theta, a.product)
+    keys = cli.SWEEP_HEADER.split(",")
+    return [dict(zip(keys, row)) for row in zip(*(cols[k].tolist() for k in keys))]
 
 
 class TestAnalyze:
@@ -147,15 +163,19 @@ class TestAnalyze:
 
     def test_valid_inputs_raise_only_range_errors(self):
         # Log-uniform over 1e-300..1e300 in all five inputs: each point gives
-        # a report or NumericRangeError (exit 3), never an untyped error or a
-        # DomainError (exit 2).  r = inf is still returned at some points.
+        # a finite report or NumericRangeError (exit 3), never an untyped
+        # error or a DomainError (exit 2).
         rng = random.Random(3)
         for _ in range(20_000):
             p = OscillatorParams(*(10 ** rng.uniform(-300, 300) for _ in range(5)))
             try:
-                cli.analyze_report(p)
+                report = cli.analyze_report(p)
             except NumericRangeError:
-                pass
+                continue
+            assert all(math.isfinite(v) for v in report.values()), p
+            r = report["r"]
+            exact = Fraction(p.alpha1) * Fraction(p.m2) / (Fraction(p.alpha2) * Fraction(p.m1))
+            assert r > 0 and abs(Fraction(r) - exact) <= 4e-15 * exact, p
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -236,6 +256,35 @@ class TestSweep:
             lines.append(",".join(cli._fmt(row[k]) for k in cli.SWEEP_HEADER.split(",")))
         assert out == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "theta", "--start", "0", "--stop", "20", "--steps", "10000", *FIG1_FLAGS],
+            ["--kind", "ratio", "--start", "0.05", "--stop", "20", "--steps", "10000",
+             "--theta", "2", "--product", "10"],
+            ["--kind", "theta", "--start", "0", "--stop", "1e-5", "--steps", "11", *FIG1_FLAGS],
+        ],
+        ids=["theta-10k", "ratio-10k", "tiny-theta"],
+    )
+    def test_csv_bytes_match_per_value_format(self, capsys, flags):
+        code, out, _ = run(capsys, "sweep", *flags, "--format", "csv")
+        lines = [cli.SWEEP_HEADER]
+        lines += [",".join(cli._fmt(v) for v in row.values()) for row in per_value_rows(flags)]
+        assert code == 0 and out == "\n".join(lines) + "\n"
+
+    def test_tiny_theta_sweep_prints_negative_zero_and_exponents(self, capsys):
+        # What makes the tiny-theta case above cover more of %.12g.
+        _, out, _ = run(capsys, "sweep", "--kind", "theta", "--start", "0", "--stop", "1e-5",
+                        "--steps", "11", *FIG1_FLAGS, "--format", "csv")
+        first, second = out.split("\n")[1:3]
+        assert first.split(",")[1] == "-0" and "e-" in second
+
+    @pytest.mark.parametrize("stop", ["1e-5", "10"])
+    def test_json_bytes_match_per_row_dicts(self, capsys, stop):
+        flags = ["--kind", "theta", "--start", "0", "--stop", stop, "--steps", "101", *FIG1_FLAGS]
+        code, out, _ = run(capsys, "sweep", *flags)
+        assert code == 0 and out == json.dumps(per_value_rows(flags), indent=2) + "\n"
+
     def test_json_matches_scalar_functions(self, capsys):
         _, out, _ = run(capsys, "sweep", *RATIO_FLAGS)
         rows = json.loads(out)
@@ -251,9 +300,10 @@ class TestSweep:
             (["--kind", "ratio", "--start", "1", "--stop", "2", "--product", "-2"], 2, "alpha"),
             (["--kind", "theta", "--start", "0", "--stop", "1e200", *FIG1_FLAGS], 3, "overflows"),
             (["--kind", "theta", "--start", "0", "--stop", "1", *SIGMA1_UNDERFLOW_FLAGS], 3, "sigma1"),
+            (["--kind", "theta", "--start", "0", "--stop", "1", *ES_RANGE_FLAGS], 3, "E_S"),
         ],
         ids=["negative-theta", "alpha-overflow", "negative-product", "b-squared-overflow",
-             "sigma1-underflow"],
+             "sigma1-underflow", "e-s-range"],
     )
     def test_error_contract(self, capsys, flags, code, word):
         with warnings.catch_warnings():
@@ -355,6 +405,13 @@ class TestPlumbing:
         assert code == 2
         assert "error" in err
 
+    def test_deeply_nested_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000)
+        code, err = exit_code(capsys, "analyze", "--config", str(cfg))
+        assert code == 2
+        assert "not valid JSON" in err and "Traceback" not in err
+
     def test_import_needs_no_scipy(self):
         proc = cold("import ncho, sys; assert not any(m.startswith('scipy') for m in sys.modules)")
         assert proc.returncode == 0, proc.stderr
@@ -416,3 +473,92 @@ class TestPlumbing:
         cols = dict(zip(*[line.split(",") for line in out.strip().split("\n")]))
         assert float(cols["sigma1"]) == pytest.approx(15.136945600256785, abs=5e-10)
         assert len(cols["sigma1"].replace(".", "").replace("-", "").lstrip("0")) <= 12
+
+
+# Odd flag and config values: NaN, infinities, an overflowing literal, -0,
+# subnormals and strings that are no number at all.
+ODD_VALUES = ["nan", "-nan", "inf", "-inf", "1e309", "-1e309", "-0", "0", "1e-320", "1e-200",
+              "1e200", "abc", "", "1,5", "0x10", "None", "[1]", "--theta"]
+ODD_CONFIGS = ['{"theta": 1e309}', '{"theta": 1', "[" * 100_000, '{"m1": ' * 100_000, "", "\x00",
+               '{"steps": 1e3}', '{"steps": 2.5}', '{"kind": "bogus"}', "null"]
+# Size flags stay small so that no example allocates much: at most 200
+# sweep rows, (4 + 1)^2 levels and a 65^2 grid.
+SIZE_LIMITS = {"--steps": 200, "--n-max": 4, "--grid-points": 65}
+COMMAND_FLAGS = {
+    "analyze": [],
+    "sweep": ["--kind", "--start", "--stop", "--steps", "--product"],
+    "spectrum": ["--n-max"],
+    "validate": ["--grid-points", "--grid-extent"],
+}
+REQUIRED = {"--kind", "--start", "--stop", "--steps"}
+PARAM_FLAGS = ["--m1", "--m2", "--alpha1", "--alpha2", "--theta"]
+
+
+def mostly(usual, odd):
+    """USUAL three times in four, so that most examples get past argparse."""
+    return st.one_of(usual, usual, usual, odd)
+
+
+odd_numbers = st.sampled_from(ODD_VALUES) | st.floats().map(repr)
+numbers = mostly(st.sampled_from(["0.5", "1", "2", "5", "10"])
+                 | st.floats(-300, 300).map(lambda e: repr(10.0**e)), odd_numbers)
+flag_values = {
+    "--kind": mostly(st.sampled_from(["theta", "ratio"]), st.just("bogus")),
+    "--format": mostly(st.sampled_from(["csv", "json"]), st.just("xml")),
+    # Mostly start < stop, so that most sweeps get past the range check.
+    "--start": mostly(st.sampled_from(["0", "1e-300", "0.5"]), numbers),
+    "--stop": mostly(st.sampled_from(["10", "1e3", "1e300"]), numbers),
+    "--output": st.sampled_from(["", "/nonexistent/dir/out"]),
+    **{flag: mostly(st.integers(2, top).map(str), st.integers(-2, 1).map(str) | odd_numbers)
+       for flag, top in SIZE_LIMITS.items()},
+}
+# No digits in config strings, so none of them parses as a large size.
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(-3, 65), st.floats(),
+                        st.text(st.characters(blacklist_categories=("Nd",)), max_size=5))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+config_keys = st.sampled_from(
+    ["m1", "m2", "alpha1", "alpha2", "theta", "kind", "start", "stop", "steps", "product",
+     "n_max", "n-max", "grid_points", "grid_extent", "format", "command", "bogus", "", "__class__"]
+)
+config_texts = st.one_of(
+    st.dictionaries(config_keys, json_values, max_size=4).map(json.dumps),
+    json_values.map(json.dumps),
+    st.sampled_from(ODD_CONFIGS),
+)
+
+
+@st.composite
+def invocations(draw):
+    """An argv for ``cli.main`` and the text of its config file (or None)."""
+    command = draw(st.sampled_from([*COMMAND_FLAGS, *COMMAND_FLAGS, "bogus", "--help"]))
+    argv = [command]
+    for flag in [*PARAM_FLAGS, *COMMAND_FLAGS.get(command, []), "--format", "--output"]:
+        if flag in REQUIRED or draw(st.booleans()):
+            argv.append(f"{flag}={draw(flag_values.get(flag, numbers))}")
+    return argv, draw(st.one_of(st.none(), st.none(), config_texts))
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(invocation=invocations())
+    def test_only_documented_exit_codes(self, tmp_path, invocation):
+        # Any other exception escapes cli.main and fails the test.
+        argv, config = invocation
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config, encoding="utf-8")
+            argv = [*argv, f"--config={cfg}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: --help or a rejected flag
+                assert exc.code in (0, 2), argv
+                return
+        assert code in (0, 2, 3, 4, 5), argv
+        assert "Traceback" not in err.getvalue()

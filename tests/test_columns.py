@@ -93,6 +93,12 @@ def test_overflowing_row_raises_numeric_range_error():
         entanglement_columns(1.0, 1.0, 5.0, 10.0, np.array([1.0, 1e76]))
 
 
+def test_non_finite_e_s_raises_numeric_range_error():
+    # alpha1*m2 and alpha2*m1 underflow to 0 at the second row only.
+    with pytest.raises(NumericRangeError, match="E_S is not finite.*m1=1e-200"):
+        entanglement_columns(np.array([1.0, 1e-200]), 1e-200, 1e-200, 1e-200, 1.0)
+
+
 def test_positive_e_s_rejected():
     with pytest.raises(DomainError, match="E_S = 1e-09 > 0"):
         formation_columns(np.array([-0.1, 1e-9]))

@@ -3,6 +3,8 @@
 import decimal
 import math
 import pickle
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -430,6 +432,31 @@ class TestSimonClosedForm:
         assert math.isfinite(e_s) and e_s < 0
         assert e_s == pytest.approx(float(exact), rel=1e-14)
 
+    @pytest.mark.parametrize("inputs", [(1e-200,) * 4, (1e200,) * 4, (1e-200, 1e200, 1e200, 1e-200)],
+                             ids=["x-and-y-underflow", "x-and-y-overflow", "x-over-y-underflow"])
+    def test_non_finite_raises(self, inputs):
+        # a1*m2 and a2*m1 leave the float range; E_S was NaN or ZeroDivisionError.
+        for theta in (0.0, 1.0):
+            with pytest.raises(NumericRangeError, match="E_S is not finite"):
+                es_closed_form(OscillatorParams(*inputs, theta))
+            with pytest.raises(NumericRangeError, match="E_S is not finite"):
+                asymptotic_bounds(OscillatorParams(*inputs, theta))
+
+    def test_extreme_inputs_give_finite_values_or_range_errors(self):
+        # Log-uniform over 1e-300..1e300 in all five inputs.
+        rng = random.Random(3)
+        returned = 0
+        for _ in range(20_000):
+            p = OscillatorParams(*(10 ** rng.uniform(-300, 300) for _ in range(5)))
+            for values in (lambda: [es_closed_form(p)], lambda: asymptotic_bounds(p)):
+                try:
+                    got = values()
+                except NumericRangeError:
+                    continue
+                returned += 1
+                assert all(math.isfinite(v) for v in got), p
+        assert returned > 20_000
+
 
 class TestAsymptoticBounds:
     def test_isotropic_limit(self):
@@ -475,6 +502,26 @@ class TestAnisotropyRatio:
     def test_underflowing_denominator_raises(self):
         with pytest.raises(NumericRangeError, match="alpha2/m2 underflows"):
             anisotropy_ratio(OscillatorParams(1.0, 1e200, 1.0, 1e-200, 0.0))
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            (1e200, 1e200, 1e-200, 1e-200),  # both quotients underflow to 0
+            (1e-200, 1e-200, 1e200, 1e200),  # both overflow
+            (1e10, 1.0, 3e-300, 7e-301),  # alpha1/m1 is subnormal
+            (1e-300, 1e300, 1e-10, 1e300),  # alpha2/m2 = 1e-310 and (alpha1/m1)/(alpha2/m2) overflows
+        ],
+    )
+    def test_regrouped_where_a_quotient_leaves_the_range(self, inputs):
+        m1, m2, a1, a2 = inputs
+        r = anisotropy_ratio(OscillatorParams(m1, m2, a1, a2, 1.0))
+        exact = Fraction(a1) * Fraction(m2) / (Fraction(a2) * Fraction(m1))
+        assert abs(Fraction(r) - exact) <= 4e-16 * exact
+
+    @pytest.mark.parametrize("inputs", [(1e200, 1.0, 1e-200, 1.0), (1.0, 1.0, 1e300, 1e-300)])
+    def test_ratio_out_of_range_raises(self, inputs):
+        with pytest.raises(NumericRangeError, match="r leaves the float range"):
+            anisotropy_ratio(OscillatorParams(*inputs, 0.0))
 
 
 class TestMonotoneSaturation:
