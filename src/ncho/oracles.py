@@ -10,8 +10,12 @@ without sharing code paths with them:
 * trapezoidal sums of the two-mode Gaussian second moments, with the
   Gaussian's exact derivatives, against the closed-form covariance entries.
 
-``run_validation`` bundles them, together with a three-path agreement
-check of the Simon functional, into a single report.
+Both grid oracles take the factored route, O(N) memory, when |psi|
+separates (Re of the cross coefficient is 0, as for every closed-form
+ground state), and an N x N weighted grid otherwise; the values agree to
+rounding.  ``run_validation`` checks both grids against the state first,
+then bundles the oracles, together with a three-path agreement check of
+the Simon functional, into a single report.
 """
 
 from __future__ import annotations
@@ -165,6 +169,16 @@ def _shift_factors(lam_kk: float, kappa: float, lam12: complex, x: np.ndarray, h
     return nxt, prv, np.exp(own), np.exp(own - cross), np.exp(own + cross)
 
 
+def _residual_axis(lam: GroundStateLambda, grid: GridSpec) -> tuple[np.ndarray, float]:
+    """The residual's grid axis, in lengths of the state's widest diagonal envelope."""
+    if grid.extent < MIN_RESIDUAL_EXTENT:
+        raise GridConfigurationError(
+            f"grid extent must be >= {MIN_RESIDUAL_EXTENT} characteristic lengths "
+            f"for a trustworthy residual, got {grid.extent}"
+        )
+    return grid.axis(1.0 / math.sqrt(min(lam.lambda11, lam.lambda22)))
+
+
 def schrodinger_residual(params: OscillatorParams, lam: GroundStateLambda, grid: GridSpec) -> float:
     """Relative L2 residual of (H - E00) psi00 on the grid.
 
@@ -177,19 +191,28 @@ def schrodinger_residual(params: OscillatorParams, lam: GroundStateLambda, grid:
     times a row and a column factor (``_shift_factors``), so (H - E00) psi
     is exp(-lam12 x1 x2) times one (N x 6) by (6 x N) product.  The factors
     take kappa = |Re lam12| / sqrt(lam11 lam22) of each diagonal envelope,
-    and the rest of |psi|, ``_cross_weight``, weights both norms.
+    and the rest of |psi| is ``_cross_weight``.
+
+    Two routes, chosen by kappa alone:
+
+    * kappa = 0, as for every closed-form ground state (Re lam12 = 0):
+      |psi| separates and the weight is 1, so no N x N array is formed.
+      The product's Frobenius norm is that of the 6 x 6 product of the
+      two factors' thin-QR triangles (the unitary factors drop out), and
+      |psi|'s norm is a product of two axis sums: O(N) memory, two
+      (N x 6) QRs.
+    * kappa > 0: the product is formed on the N x N grid and weighted by
+      ``_cross_weight`` in both norms, O(N^2) memory and work.
+
+    Raises ``GridConfigurationError`` where the grid is too narrow or psi
+    underflows to 0 at every grid point.
     """
-    if grid.extent < MIN_RESIDUAL_EXTENT:
-        raise GridConfigurationError(
-            f"grid extent must be >= {MIN_RESIDUAL_EXTENT} characteristic lengths "
-            f"for a trustworthy residual, got {grid.extent}"
-        )
+    x, h = _residual_axis(lam, grid)
     canon = oscillator.bopp_shift(params)
     spec = oscillator.mode_spectrum(params)
     e00 = 0.5 * (spec.sigma1 + spec.sigma2)
 
     l11, l22, l12 = lam.lambda11, lam.lambda22, lam.lambda12
-    x, h = grid.axis(1.0 / math.sqrt(min(l11, l22)))
     kappa = abs(l12.real) / math.sqrt(l11 * l22)
     nxt1, prv1, own1, plus1, minus1 = _shift_factors(l11, kappa, l12, x, h)
     nxt2, prv2, own2, plus2, minus2 = _shift_factors(l22, kappa, l12, x, h)
@@ -206,11 +229,46 @@ def schrodinger_residual(params: OscillatorParams, lam: GroundStateLambda, grid:
     cols = np.array(
         (plus2 * (kin1 - drift2), minus2 * (kin1 + drift2), nxt2, prv2, own2, pot2 * own2)
     )
-    residual = rows @ cols
-    root_weight = _cross_weight(kappa, l11, l22, l12.real, x)
-    residual *= root_weight
-    psi_norm_sq = (own1 * own1) @ np.square(root_weight, out=root_weight) @ (own2 * own2)
-    return float(np.sqrt(np.vdot(residual, residual).real / psi_norm_sq))
+    if kappa == 0:
+        # rows = Q1 T1 and cols^T = Q2 T2, so |rows @ cols|_F = |T1 T2^T|_F.
+        core = np.linalg.qr(rows, mode="r") @ np.linalg.qr(cols.T, mode="r").T
+        residual_sq = np.vdot(core, core).real
+        psi_norm_sq = (own1 @ own1) * (own2 @ own2)
+    else:
+        residual = rows @ cols
+        root_weight = _cross_weight(kappa, l11, l22, l12.real, x)
+        residual *= root_weight
+        residual_sq = np.vdot(residual, residual).real
+        psi_norm_sq = (own1 * own1) @ np.square(root_weight, out=root_weight) @ (own2 * own2)
+    if not psi_norm_sq > 0:
+        raise GridConfigurationError(
+            f"psi underflows to 0 at every point of the {grid.points_per_axis}-point grid"
+        )
+    return math.sqrt(residual_sq / psi_norm_sq)
+
+
+def _moment_axis(state: TwoModeGaussian, grid: GridSpec) -> tuple[np.ndarray, float]:
+    """The moment grid's axis, after checking that it resolves the state.
+
+    The axis spans ``grid.extent`` wide lengths, 1/sqrt of the smaller real
+    diagonal coefficient.  The narrow length is sqrt of the smallest
+    eigenvalue of Re(A^-1) for the exponent matrix A, one over the widest
+    spread of |psi|^2 in momentum space, exp(-k^T Re(A^-1) k), which
+    Im(alpha) and Im(beta) widen too; it needs ``MIN_POINTS_PER_LENGTH``
+    grid points.
+    """
+    ell_wide = 1.0 / math.sqrt(min(state.alpha.real, state.beta.real))
+    det = state.alpha * state.beta - state.gamma * state.gamma
+    p, q, r = (state.beta / det).real, (state.alpha / det).real, (state.gamma / det).real
+    largest = 0.5 * (p + q) + math.hypot(0.5 * (p - q), r)
+    ell_narrow = math.sqrt(max(p * q - r * r, 0.0) / largest)
+    x, h = grid.axis(ell_wide)
+    if ell_narrow / h < MIN_POINTS_PER_LENGTH:
+        raise GridConfigurationError(
+            f"grid spacing {h:.4g} under-resolves the narrowest width "
+            f"{ell_narrow:.4g}; need >= {MIN_POINTS_PER_LENGTH} points per length"
+        )
+    return x, h
 
 
 def gaussian_moment_quadrature(state: TwoModeGaussian, grid: GridSpec) -> gaussian.CovarianceBlocks:
@@ -222,38 +280,32 @@ def gaussian_moment_quadrature(state: TwoModeGaussian, grid: GridSpec) -> gaussi
     d_k psi) (over sum |psi|^2) are sums of |psi|^2 times polynomials of
     degree <= 2: <p p> = Re(conj(A) X A) and <x p> = -X Im(A) for the
     position moments X.  All of them follow from the sums S_ab = sum x1^a
-    x2^b |psi|^2, one (3 x N) by (N x N) by (N x 3) product over the
-    separable factors of |psi|^2 and the square of ``_cross_weight``.
+    x2^b |psi|^2 over the separable factors of |psi|^2 and the square of
+    ``_cross_weight``.  With kappa = |Re gamma| / sqrt(Re alpha Re beta) = 0,
+    as for every closed-form ground state, the weight is 1 and S is the
+    outer product of the factors' row sums, O(N) work and memory; otherwise
+    it is one (3 x N) by (N x N) by (N x 3) product over the weight grid.
     |psi|^2 is zero to machine precision at the grid edge, so the sums
     converge exponentially.
 
     Requires ``MIN_POINTS_PER_LENGTH`` = 1.45 points per narrow length
-    (below).  The default grid gives 0.80 for TwoModeGaussian(1+20j, 1, 0),
-    1.59 for 1+10j (moment error 5.6e-16), at least 10 over the benchmark's
-    validation box and 6.0 at (1, 1, 5, 100, 1) (errors <= 2.5e-15);
-    test_07's 96-point grid gives at least 1.49 (errors <= 1.2e-10).
+    (``_moment_axis``).  The default grid gives 0.80 for
+    TwoModeGaussian(1+20j, 1, 0), 1.59 for 1+10j (moment error 5.6e-16), at
+    least 10 over the benchmark's validation box and 6.0 at
+    (1, 1, 5, 100, 1) (errors <= 2.5e-15); test_07's 96-point grid gives at
+    least 1.49 (errors <= 1.2e-10).
     """
-    ell_wide = 1.0 / math.sqrt(min(state.alpha.real, state.beta.real))
-    # The narrow length: sqrt of the smallest eigenvalue of Re(A^-1) for the
-    # exponent matrix A, one over the widest spread of |psi|^2 in momentum
-    # space, exp(-k^T Re(A^-1) k), which Im(alpha) and Im(beta) widen too.
-    det = state.alpha * state.beta - state.gamma * state.gamma
-    p, q, r = (state.beta / det).real, (state.alpha / det).real, (state.gamma / det).real
-    largest = 0.5 * (p + q) + math.hypot(0.5 * (p - q), r)
-    ell_narrow = math.sqrt(max(p * q - r * r, 0.0) / largest)
-    x, h = grid.axis(ell_wide)
-    if ell_narrow / h < MIN_POINTS_PER_LENGTH:
-        raise GridConfigurationError(
-            f"grid spacing {h:.4g} under-resolves the narrowest width "
-            f"{ell_narrow:.4g}; need >= {MIN_POINTS_PER_LENGTH} points per length"
-        )
+    x, _ = _moment_axis(state, grid)
     a1, b1, g1 = state.alpha.real, state.beta.real, state.gamma.real
     kappa = abs(g1) / math.sqrt(a1 * b1)
-    weight = _cross_weight(kappa, a1, b1, g1, x)
     powers = np.array((np.ones_like(x), x, x * x))
     rows = powers * np.exp((kappa - 1) * a1 * x * x)
     cols = powers * np.exp((kappa - 1) * b1 * x * x)
-    s = rows @ np.square(weight, out=weight) @ cols.T  # s[a, b] = sum x1^a x2^b |psi|^2
+    if kappa == 0:
+        s = np.outer(rows.sum(1), cols.sum(1))  # s[a, b] = sum x1^a x2^b |psi|^2
+    else:
+        weight = _cross_weight(kappa, a1, b1, g1, x)
+        s = rows @ np.square(weight, out=weight) @ cols.T
     pos = np.array([[s[2, 0], s[1, 1]], [s[1, 1], s[0, 2]]]) / s[0, 0]
     a = np.array([[state.alpha, state.gamma], [state.gamma, state.beta]])
     mom = (a.conj() @ pos @ a).real
@@ -295,13 +347,17 @@ def run_validation(
     thresholds = thresholds or ValidationThresholds()
 
     spec = oscillator.mode_spectrum(params)
+    lam = lambda_override or oscillator.ground_state_lambda_closed(params, spec)
+    state = oscillator.ground_state_as_gaussian(lam)
+    # Both grid guards run before any oracle work, so a grid that cannot
+    # resolve the state fails with its GridConfigurationError alone.
+    _residual_axis(lam, grid)
+    _moment_axis(state, grid)
+
     evals = numeric_eigenvalues(oscillator.build_omega_matrix(params))
     eigen_residual = eigen_max_err(evals, expected_eigenvalues(spec))
-
-    lam = lambda_override or oscillator.ground_state_lambda_closed(params, spec)
     schrod = schrodinger_residual(params, lam, grid)
 
-    state = oscillator.ground_state_as_gaussian(lam)
     closed_cov = gaussian.covariance_blocks(state)
     quad_cov = gaussian_moment_quadrature(state, grid)
     moment_err = moment_max_err(closed_cov, quad_cov)

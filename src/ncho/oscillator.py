@@ -429,15 +429,19 @@ def asymptotic_bounds(params: OscillatorParams) -> AsymptoticBounds:
     E_S(inf) = -(1/16) (sqrt(a1 m2) - sqrt(a2 m1))^2 / sqrt(a1 m2 a2 m1),
     Omega0 = (sqrt(a1 m2) + sqrt(a2 m1)) / (4 (a1 m2 a2 m1)^(1/4)), and
     the E_F bound is the formation entropy evaluated at Omega0.
-    Omega0^2 = 1/4 - E_S(inf) holds identically.  Raises
-    ``NumericRangeError`` where E_S(inf) or Omega0 is not finite.
+    Omega0^2 = 1/4 - E_S(inf) holds identically.  E_S(inf) = -d^2/16 with
+    d = (x - y) / (sqrt(x) sqrt(y)), x = sqrt(a1 m2) and y = sqrt(a2 m1), so
+    the product x*y, which can overflow where the results do not, is never
+    formed; Omega0 is then sqrt(1/4 - E_S(inf)), exactly 1/2 where x = y.
+    Raises ``NumericRangeError`` where E_S(inf) or Omega0 is not finite.
     """
     x = math.sqrt(params.alpha1 * params.m2)
     y = math.sqrt(params.alpha2 * params.m1)
     try:
-        e_s_limit = -(x - y) ** 2 / (16 * x * y)
-        omega0 = (x + y) / (4 * math.sqrt(x * y))
-    except ZeroDivisionError:  # x*y underflowed to 0
+        d = (x - y) / (math.sqrt(x) * math.sqrt(y))
+        e_s_limit = -d * d / 16  # d*d: inf, not OverflowError, past the range
+        omega0 = math.sqrt(0.25 - e_s_limit)
+    except ZeroDivisionError:  # x or y underflowed to 0
         e_s_limit = omega0 = math.nan
     if not (math.isfinite(e_s_limit) and math.isfinite(omega0)):
         raise _es_range(params)

@@ -355,6 +355,18 @@ class TestValidate:
         assert code == 2
         assert "points_per_axis" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--alpha2", "160754694", "--grid-points", "34"], ["--m2", "1.8e16", "--alpha1", "1.1e-308"]],
+        ids=["psi-vanishes-on-grid", "sigma2-underflows"],
+    )
+    def test_unresolving_grid_prints_only_the_error(self, flags):
+        # A fresh interpreter, so numpy's warnings reach stderr as they would.
+        proc = cold("from ncho.cli import entrypoint; entrypoint()", "validate", *flags)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: grid spacing")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestPlumbing:
     def test_unknown_flag_exits_2(self, capsys):

@@ -150,6 +150,20 @@ def validation_box_points(seed, n):
     return points
 
 
+GRID_BYTES = 257**2 * 8  # one float64 array on the default grid
+
+
+def traced_peak(oracle, *args):
+    """Peak traced allocation of one call to ORACLE, after a warm-up call."""
+    oracle(*args)
+    tracemalloc.start()
+    try:
+        oracle(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 RESIDUAL_GRIDS = [GridSpec(8.0, 257), GridSpec(8.0, 65), GridSpec(6.0, 129), GridSpec(6.0, 33)]
 STIFF_RATIOS = [1e2, 1e3, 2e3, 1e4, 1e6]
 
@@ -198,6 +212,31 @@ class TestSchrodingerResidual:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_closed_form_state_needs_no_grid_array(self):
+        # Re(lambda12) = 0, so |psi| separates and the norms come from two
+        # thin QRs: the peak stays below one 257^2 float64 grid.
+        p = OscillatorParams(1, 1, 5, 20, 1)
+        lam = ground_state_lambda_closed(p, mode_spectrum(p))
+        assert lam.lambda12.real == 0
+        assert traced_peak(schrodinger_residual, p, lam, GridSpec()) < GRID_BYTES
+
+    def test_cross_weighted_state_keeps_the_grid_route(self):
+        p = fig1(1.0)
+        lam = ground_state_lambda_closed(p, mode_spectrum(p))
+        shifted = GroundStateLambda(lam.lambda11, lam.lambda22, lam.lambda12 + 0.3)
+        assert schrodinger_residual(p, shifted, GridSpec()) == pytest.approx(
+            stencil_residual(p, shifted, GridSpec()), rel=1e-9
+        )
+        assert traced_peak(schrodinger_residual, p, shifted, GridSpec()) > GRID_BYTES
+
+    def test_vanishing_psi_rejected(self):
+        # No point of the even 34-point grid is within reach of the narrow
+        # envelope, so psi is 0 on the whole grid and has no norm to divide by.
+        p = OscillatorParams(1, 1, 1, 160754694, 0)
+        lam = ground_state_lambda_closed(p, mode_spectrum(p))
+        with pytest.raises(GridConfigurationError, match="underflows to 0"):
+            schrodinger_residual(p, lam, GridSpec(8.0, 34))
 
     def test_unit_oscillator_discretization_error(self):
         r = schrodinger_residual(UNIT, unit_lambda(), GridSpec(8.0, 129))
@@ -372,6 +411,12 @@ class TestMomentQuadrature:
             tracemalloc.stop()
         assert peak < 2e6
 
+    def test_closed_form_state_needs_no_grid_array(self):
+        # Re(gamma) = 0: the sums are outer products of the factors' row sums.
+        state = closed_state(fig1(1.0))
+        assert state.gamma.real == 0
+        assert traced_peak(gaussian_moment_quadrature, state, GridSpec()) < GRID_BYTES
+
     def test_under_resolved_grid_rejected(self):
         # widths differ by 400x: 33 points cannot resolve the narrow mode
         state = TwoModeGaussian(400.0, 1.0, 0)
@@ -414,6 +459,18 @@ class TestRunValidation:
         report = run_validation(p, lambda_override=bad)
         assert not report.passed
         assert report.schrodinger_residual > 0.1
+
+    @pytest.mark.parametrize(
+        "params, grid",
+        [(OscillatorParams(1, 1, 1, 160754694, 0), GridSpec(8.0, 34)),
+         (OscillatorParams(1, 1.8e16, 1.1e-308, 1, 0), GridSpec())],
+        ids=["psi-vanishes-on-grid", "sigma2-underflows"],
+    )
+    def test_grid_guards_run_before_any_oracle(self, params, grid):
+        # Either oracle alone would divide by zero first: the residual by
+        # psi's norm, eigen_max_err by sigma2 = 0.
+        with pytest.raises(GridConfigurationError, match="under-resolves"):
+            run_validation(params, grid)
 
     def test_custom_thresholds(self):
         strict = ValidationThresholds(schrodinger=1e-6)

@@ -463,6 +463,24 @@ class TestAsymptoticBounds:
         b = asymptotic_bounds(OscillatorParams(2, 2, 5, 5, 0))
         assert b.e_s_limit == 0 and b.omega0 == 0.5 and b.e_f_bound == 0
 
+    @pytest.mark.parametrize("inputs", [(1, 4, 1, 4), (3, 7, 3, 7), (1e-150, 1e150, 1e-150, 1e150)])
+    def test_matched_ratio_limit_is_exactly_zero(self, inputs):
+        b = asymptotic_bounds(OscillatorParams(*inputs, 0))
+        assert b.e_s_limit == 0 and b.omega0 == 0.5 and b.e_f_bound == 0
+
+    def test_exact_where_x_times_y_overflows(self):
+        # 16 x y overflows here, and a limit formed through it read -0.0.
+        p = OscillatorParams(1, 1, 1.7e308, 1e307, 0)
+        with decimal.localcontext(decimal.Context(prec=60)):
+            x = (decimal.Decimal(p.alpha1) * decimal.Decimal(p.m2)).sqrt()
+            y = (decimal.Decimal(p.alpha2) * decimal.Decimal(p.m1)).sqrt()
+            e_s = -((x - y) ** 2) / (16 * x * y)
+            omega0 = (x + y) / (4 * (x * y).sqrt())
+        b = asymptotic_bounds(p)
+        assert b.e_s_limit == pytest.approx(float(e_s), rel=1e-15)
+        assert b.omega0 == pytest.approx(float(omega0), rel=1e-15)
+        assert b.e_f_bound == pytest.approx(entanglement_of_formation(float(e_s))[1], rel=1e-15)
+
     def test_fig1_values(self):
         b = asymptotic_bounds(fig1(1.0))
         assert b.e_s_limit == pytest.approx(-0.007582521472477661, rel=1e-13)
