@@ -7,20 +7,13 @@ on first use of one of its names below.
 
 from importlib import import_module as _import_module
 
-from .errors import (
-    DomainError,
-    GridConfigurationError,
-    NchoError,
-    NumericRangeError,
-    SingularConfigurationError,
-)
+from .errors import DomainError, GridConfigurationError, NchoError, NumericRangeError
 from .gaussian import (
     CovarianceBlocks,
     TwoModeGaussian,
     covariance_blocks,
     entanglement_of_formation,
     formation_columns,
-    normalization,
     simon_es,
 )
 from .oscillator import (
@@ -39,7 +32,6 @@ from .oscillator import (
     es_closed_form,
     ground_state_as_gaussian,
     ground_state_lambda_closed,
-    ground_state_lambda_numeric,
     mode_spectrum,
 )
 

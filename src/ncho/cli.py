@@ -7,9 +7,9 @@ Subcommands:
 * ``spectrum`` - energy levels up to a maximum quantum number.
 * ``validate`` - run the numerical oracles against the closed forms.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure
-(singular or out-of-range configuration), 4 I/O error, 5 validation
-failure.
+Exit codes: 0 success, 2 usage/configuration error (a request too large
+for memory included), 3 numerical failure (a quantity leaves the float
+range), 4 I/O error, 5 validation failure.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_SINGULAR = 3
+EXIT_NUMERIC = 3
 EXIT_IO = 4
 EXIT_VALIDATION = 5
 
@@ -275,12 +275,12 @@ def main(argv: list[str] | None = None) -> int:
             "validate": cmd_validate,
         }[args.command]
         return handler(args)
-    except (DomainError, GridConfigurationError) as exc:
+    except (DomainError, GridConfigurationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NchoError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+        return EXIT_NUMERIC
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

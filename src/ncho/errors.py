@@ -13,9 +13,5 @@ class NumericRangeError(NchoError, ArithmeticError):
     """An intermediate quantity overflowed or became non-finite."""
 
 
-class SingularConfigurationError(NchoError):
-    """The eigenbasis of the numeric ground-state route became numerically singular."""
-
-
 class GridConfigurationError(NchoError, ValueError):
     """A numerical grid is too small or too coarse for the requested check."""

@@ -5,10 +5,10 @@ A state is parametrized by the complex coefficients of its exponent,
     psi(x1, x2) = N0 * exp(-(alpha*x1^2 + beta*x2^2 + 2*gamma*x1*x2)/2),
 
 in hbar = 1 oscillator units.  From these coefficients the module computes
-the normalization, the 2x2 covariance blocks of both modes and their cross
-correlations, the Simon separability functional E_S, and the Entanglement
-of Formation E_F (in nats).  All functions are pure and all values are
-immutable after construction.
+the 2x2 covariance blocks of both modes and their cross correlations, the
+Simon separability functional E_S, and the Entanglement of Formation E_F
+(in nats).  All functions are pure and all values are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ class TwoModeGaussian(namedtuple("TwoModeGaussian", "alpha beta gamma")):
         """Re(alpha)*Re(beta) - Re(gamma)^2, the squared width determinant."""
         return self.alpha.real * self.beta.real - self.gamma.real**2
 
-    @property
-    def delta(self) -> float:
-        return math.sqrt(self.delta_sq)
-
 
 class CovarianceBlocks(namedtuple("CovarianceBlocks", "a_block b_block c_block")):
     """Second-moment blocks of a two-mode state.
@@ -82,11 +78,6 @@ class CovarianceBlocks(namedtuple("CovarianceBlocks", "a_block b_block c_block")
         return tuple.__new__(cls, blocks)
 
     _make = classmethod(lambda cls, values: cls(*values))  # checked, as above
-
-
-def normalization(state: TwoModeGaussian) -> float:
-    """Squared normalization constant |N0|^2 = Delta/pi."""
-    return state.delta / math.pi
 
 
 def covariance_blocks(state: TwoModeGaussian) -> CovarianceBlocks:

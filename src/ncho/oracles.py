@@ -10,12 +10,12 @@ without sharing code paths with them:
 * trapezoidal sums of the two-mode Gaussian second moments, with the
   Gaussian's exact derivatives, against the closed-form covariance entries.
 
-Both grid oracles take the factored route, O(N) memory, when |psi|
-separates (Re of the cross coefficient is 0, as for every closed-form
-ground state), and an N x N weighted grid otherwise; the values agree to
-rounding.  ``run_validation`` checks both grids against the state first,
-then bundles the oracles, together with a three-path agreement check of
-the Simon functional, into a single report.
+Both grid oracles work on states whose |psi| separates (the cross
+coefficient is purely imaginary, as in every closed-form ground state),
+in factored form with O(N) memory; any other state raises ``DomainError``.
+``run_validation`` checks both grids against the state first, then
+bundles the oracles, together with a two-path agreement check of the
+Simon functional, into a single report.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ class ValidationThresholds:
 
     The Schrodinger threshold reflects the pure O(h^2) discretization
     error of the default 257-point grid.  The moment threshold is far above
-    the quadrature's measured worst errors: 2.5e-15 on the default grid
-    over 59 ground states of the benchmark's validation box and at
-    (1, 1, 5, 10 | 20 | 100, 1), and 1.2e-10 for 50 random complex states
-    on a 96-point grid.  The others are far above the oracle noise floor.
+    the quadrature's measured worst error, 2.5e-15 on the default grid over
+    59 ground states of the benchmark's validation box and at
+    (1, 1, 5, 10 | 20 | 100, 1).  The others are far above the oracle
+    noise floor.
     """
 
     eigen: float = 1e-8
@@ -139,38 +139,32 @@ def eigen_max_err(numeric: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(numeric - expected) / np.abs(expected)))
 
 
-def _cross_weight(kappa: float, l11: float, l22: float, re_l12: float, x: np.ndarray) -> np.ndarray:
-    """The part of |exp(-x^T L x / 2)| on the grid x by x that does not separate.
-
-    With kappa = |re_l12| / sqrt(l11 l22), |psi| is exp(-(1 - kappa)(l11 x1^2
-    + l22 x2^2) / 2) times this weight exp(-(q1 + q2)^2), q_k = sqrt(kappa
-    l_kk / 2) x_k and q2 signed like re_l12; both factors are at most 1.
-    """
-    q1 = math.sqrt(0.5 * kappa * l11) * x
-    q2 = math.copysign(math.sqrt(0.5 * kappa * l22), re_l12) * x
-    weight = np.add.outer(q1, q2)  # in place from here: fresh grids cost page faults
-    np.exp(np.negative(np.square(weight, out=weight), out=weight), out=weight)
-    return weight
-
-
-def _shift_factors(lam_kk: float, kappa: float, lam12: complex, x: np.ndarray, h: float):
+def _shift_factors(lam_kk: float, lam12: complex, x: np.ndarray, h: float):
     """One axis's factors of psi = exp(-lam_kk x^2/2) * ... * exp(-lam12 x1 x2).
 
     In order: the envelope at the next and the previous point (0 off the
     grid, the stencil's zero padding), at x, and at x times exp(-+ lam12 h x)
-    (the cross term as the other coordinate steps +-h).  Each is times
-    exp(kappa lam_kk x^2/2) and one exp of its whole exponent, so at most
-    exp(kappa h^2 max(lam11, lam22) / (2 (1 - kappa))), or 1 at kappa = 0.
+    (the cross term as the other coordinate steps +-h).  Each is one exp of
+    its whole exponent, so none exceeds 1.
     """
-    keep, full = 0.5 * kappa * lam_kk * x * x, 0.5 * lam_kk * x * x
-    own, cross = keep - full, lam12 * h * x
-    nxt = np.append(np.exp(keep[:-1] - full[1:]), 0.0)
-    prv = np.append(0.0, np.exp(keep[1:] - full[:-1]))
-    return nxt, prv, np.exp(own), np.exp(own - cross), np.exp(own + cross)
+    own, cross = -0.5 * lam_kk * x * x, lam12 * h * x
+    envelope = np.exp(own)
+    nxt, prv = np.append(envelope[1:], 0.0), np.append(0.0, envelope[:-1])
+    return nxt, prv, envelope, np.exp(own - cross), np.exp(own + cross)
+
+
+def _require_separable(cross: complex, name: str) -> None:
+    """The grid oracles factor |psi|, which needs a purely imaginary cross coefficient."""
+    if cross.real != 0:
+        raise DomainError(
+            f"Re({name}) = {cross.real} != 0: |psi| does not separate, and no "
+            "closed-form ground state has such a cross coefficient"
+        )
 
 
 def _residual_axis(lam: GroundStateLambda, grid: GridSpec) -> tuple[np.ndarray, float]:
     """The residual's grid axis, in lengths of the state's widest diagonal envelope."""
+    _require_separable(lam.lambda12, "lambda12")
     if grid.extent < MIN_RESIDUAL_EXTENT:
         raise GridConfigurationError(
             f"grid extent must be >= {MIN_RESIDUAL_EXTENT} characteristic lengths "
@@ -189,22 +183,15 @@ def schrodinger_residual(params: OscillatorParams, lam: GroundStateLambda, grid:
     ground state.  The stencil is evaluated exactly through psi's shift
     factors, not on sampled psi: psi at x +- h e_k is exp(-lam12 x1 x2)
     times a row and a column factor (``_shift_factors``), so (H - E00) psi
-    is exp(-lam12 x1 x2) times one (N x 6) by (6 x N) product.  The factors
-    take kappa = |Re lam12| / sqrt(lam11 lam22) of each diagonal envelope,
-    and the rest of |psi| is ``_cross_weight``.
+    is exp(-lam12 x1 x2) times one (N x 6) by (6 x N) product.  With
+    Re lam12 = 0, as for every closed-form ground state, |exp(-lam12 x1 x2)|
+    = 1, so no N x N array is formed: the product's Frobenius norm is that
+    of the 6 x 6 product of the two factors' thin-QR triangles (the unitary
+    factors drop out), and |psi|'s norm is a product of two axis sums, O(N)
+    memory and two (N x 6) QRs.
 
-    Two routes, chosen by kappa alone:
-
-    * kappa = 0, as for every closed-form ground state (Re lam12 = 0):
-      |psi| separates and the weight is 1, so no N x N array is formed.
-      The product's Frobenius norm is that of the 6 x 6 product of the
-      two factors' thin-QR triangles (the unitary factors drop out), and
-      |psi|'s norm is a product of two axis sums: O(N) memory, two
-      (N x 6) QRs.
-    * kappa > 0: the product is formed on the N x N grid and weighted by
-      ``_cross_weight`` in both norms, O(N^2) memory and work.
-
-    Raises ``GridConfigurationError`` where the grid is too narrow or psi
+    Raises ``DomainError`` where Re lam12 != 0, and
+    ``GridConfigurationError`` where the grid is too narrow or psi
     underflows to 0 at every grid point.
     """
     x, h = _residual_axis(lam, grid)
@@ -212,10 +199,8 @@ def schrodinger_residual(params: OscillatorParams, lam: GroundStateLambda, grid:
     spec = oscillator.mode_spectrum(params)
     e00 = 0.5 * (spec.sigma1 + spec.sigma2)
 
-    l11, l22, l12 = lam.lambda11, lam.lambda22, lam.lambda12
-    kappa = abs(l12.real) / math.sqrt(l11 * l22)
-    nxt1, prv1, own1, plus1, minus1 = _shift_factors(l11, kappa, l12, x, h)
-    nxt2, prv2, own2, plus2, minus2 = _shift_factors(l22, kappa, l12, x, h)
+    nxt1, prv1, own1, plus1, minus1 = _shift_factors(lam.lambda11, lam.lambda12, x, h)
+    nxt2, prv2, own2, plus2, minus2 = _shift_factors(lam.lambda22, lam.lambda12, x, h)
     kin1, kin2 = -0.5 / (canon.big_m1 * h * h), -0.5 / (canon.big_m2 * h * h)
     # -theta*(a1 x1 p2 - a2 x2 p1) with p = -i d/dx
     drift1 = 0.5j * params.theta * params.alpha1 / h * x
@@ -229,17 +214,10 @@ def schrodinger_residual(params: OscillatorParams, lam: GroundStateLambda, grid:
     cols = np.array(
         (plus2 * (kin1 - drift2), minus2 * (kin1 + drift2), nxt2, prv2, own2, pot2 * own2)
     )
-    if kappa == 0:
-        # rows = Q1 T1 and cols^T = Q2 T2, so |rows @ cols|_F = |T1 T2^T|_F.
-        core = np.linalg.qr(rows, mode="r") @ np.linalg.qr(cols.T, mode="r").T
-        residual_sq = np.vdot(core, core).real
-        psi_norm_sq = (own1 @ own1) * (own2 @ own2)
-    else:
-        residual = rows @ cols
-        root_weight = _cross_weight(kappa, l11, l22, l12.real, x)
-        residual *= root_weight
-        residual_sq = np.vdot(residual, residual).real
-        psi_norm_sq = (own1 * own1) @ np.square(root_weight, out=root_weight) @ (own2 * own2)
+    # rows = Q1 T1 and cols^T = Q2 T2, so |rows @ cols|_F = |T1 T2^T|_F.
+    core = np.linalg.qr(rows, mode="r") @ np.linalg.qr(cols.T, mode="r").T
+    residual_sq = np.vdot(core, core).real
+    psi_norm_sq = (own1 @ own1) * (own2 @ own2)
     if not psi_norm_sq > 0:
         raise GridConfigurationError(
             f"psi underflows to 0 at every point of the {grid.points_per_axis}-point grid"
@@ -255,8 +233,9 @@ def _moment_axis(state: TwoModeGaussian, grid: GridSpec) -> tuple[np.ndarray, fl
     eigenvalue of Re(A^-1) for the exponent matrix A, one over the widest
     spread of |psi|^2 in momentum space, exp(-k^T Re(A^-1) k), which
     Im(alpha) and Im(beta) widen too; it needs ``MIN_POINTS_PER_LENGTH``
-    grid points.
+    grid points.  Raises ``DomainError`` where Re(gamma) != 0.
     """
+    _require_separable(state.gamma, "gamma")
     ell_wide = 1.0 / math.sqrt(min(state.alpha.real, state.beta.real))
     det = state.alpha * state.beta - state.gamma * state.gamma
     p, q, r = (state.beta / det).real, (state.alpha / det).real, (state.gamma / det).real
@@ -280,32 +259,22 @@ def gaussian_moment_quadrature(state: TwoModeGaussian, grid: GridSpec) -> gaussi
     d_k psi) (over sum |psi|^2) are sums of |psi|^2 times polynomials of
     degree <= 2: <p p> = Re(conj(A) X A) and <x p> = -X Im(A) for the
     position moments X.  All of them follow from the sums S_ab = sum x1^a
-    x2^b |psi|^2 over the separable factors of |psi|^2 and the square of
-    ``_cross_weight``.  With kappa = |Re gamma| / sqrt(Re alpha Re beta) = 0,
-    as for every closed-form ground state, the weight is 1 and S is the
-    outer product of the factors' row sums, O(N) work and memory; otherwise
-    it is one (3 x N) by (N x N) by (N x 3) product over the weight grid.
-    |psi|^2 is zero to machine precision at the grid edge, so the sums
-    converge exponentially.
+    x2^b |psi|^2.  Re(gamma) = 0, as for every closed-form ground state, so
+    |psi|^2 separates and S is the outer product of its factors' row sums,
+    O(N) work and memory.  |psi|^2 is zero to machine precision at the grid
+    edge, so the sums converge exponentially.
 
     Requires ``MIN_POINTS_PER_LENGTH`` = 1.45 points per narrow length
     (``_moment_axis``).  The default grid gives 0.80 for
     TwoModeGaussian(1+20j, 1, 0), 1.59 for 1+10j (moment error 5.6e-16), at
     least 10 over the benchmark's validation box and 6.0 at
-    (1, 1, 5, 100, 1) (errors <= 2.5e-15); test_07's 96-point grid gives at
-    least 1.49 (errors <= 1.2e-10).
+    (1, 1, 5, 100, 1) (errors <= 2.5e-15).
     """
     x, _ = _moment_axis(state, grid)
-    a1, b1, g1 = state.alpha.real, state.beta.real, state.gamma.real
-    kappa = abs(g1) / math.sqrt(a1 * b1)
     powers = np.array((np.ones_like(x), x, x * x))
-    rows = powers * np.exp((kappa - 1) * a1 * x * x)
-    cols = powers * np.exp((kappa - 1) * b1 * x * x)
-    if kappa == 0:
-        s = np.outer(rows.sum(1), cols.sum(1))  # s[a, b] = sum x1^a x2^b |psi|^2
-    else:
-        weight = _cross_weight(kappa, a1, b1, g1, x)
-        s = rows @ np.square(weight, out=weight) @ cols.T
+    rows = (powers * np.exp(-state.alpha.real * x * x)).sum(1)
+    cols = (powers * np.exp(-state.beta.real * x * x)).sum(1)
+    s = np.outer(rows, cols)  # s[a, b] = sum x1^a x2^b |psi|^2
     pos = np.array([[s[2, 0], s[1, 1]], [s[1, 1], s[0, 2]]]) / s[0, 0]
     a = np.array([[state.alpha, state.gamma], [state.gamma, state.beta]])
     mom = (a.conj() @ pos @ a).real
@@ -364,15 +333,7 @@ def run_validation(
 
     es_direct = oscillator.es_closed_form(params)
     es_pipeline = gaussian.simon_es(closed_cov)
-    es_numeric = gaussian.simon_es(
-        gaussian.covariance_blocks(
-            oscillator.ground_state_as_gaussian(oscillator.ground_state_lambda_numeric(params))
-        )
-    )
-    es_scale = max(abs(es_direct), abs(es_pipeline), abs(es_numeric), 1e-5)
-    es_spread = (
-        max(es_direct, es_pipeline, es_numeric) - min(es_direct, es_pipeline, es_numeric)
-    ) / es_scale
+    es_spread = abs(es_direct - es_pipeline) / max(abs(es_direct), abs(es_pipeline), 1e-5)
 
     report = ValidationReport(
         eigen_residual=eigen_residual,

@@ -10,8 +10,7 @@ theta-dependent cross term.  This module provides:
 * the quadratic-form matrix and the dynamical matrix of the equations of
   motion,
 * the normal-mode frequencies sigma1 >= sigma2 and the energy levels,
-* the ground-state Gaussian exponent matrix (closed form and an
-  independent numeric route through a dense eigensolver),
+* the ground-state Gaussian exponent matrix in closed form,
 * the closed-form Simon functional and the theta -> infinity bounds.
 
 Everything is in hbar = 1 units; theta carries dimension length^2 but all
@@ -27,7 +26,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import gaussian
-from .errors import DomainError, NumericRangeError, SingularConfigurationError
+from .errors import DomainError, NumericRangeError
 from .gaussian import TwoModeGaussian
 
 if TYPE_CHECKING:
@@ -81,7 +80,7 @@ class GroundStateLambda(namedtuple("GroundStateLambda", "lambda11 lambda22 lambd
     """Exponent matrix of the ground state, psi00 ~ exp(-x^T Lambda x / 2).
 
     The diagonal entries are real and positive; the off-diagonal entry is
-    purely imaginary (up to roundoff) and carries all the entanglement.
+    purely imaginary and carries all the entanglement.
     lambda21 equals lambda12.
     """
 
@@ -231,7 +230,7 @@ def _sigma1_underflow(params) -> NumericRangeError:
 
 def energy_level(spectrum: ModeSpectrum, n1: int, n2: int) -> float:
     """E(n1, n2) = sigma1*(n1 + 1/2) + sigma2*(n2 + 1/2)."""
-    if n1 < 0 or n2 < 0 or n1 != int(n1) or n2 != int(n2):
+    if not (n1 >= 0 and n2 >= 0 and n1 % 1 == 0 and n2 % 1 == 0):  # NaN and inf fail too
         raise DomainError(f"quantum numbers must be nonnegative integers, got ({n1}, {n2})")
     return spectrum.sigma1 * (n1 + 0.5) + spectrum.sigma2 * (n2 + 0.5)
 
@@ -284,45 +283,6 @@ def ground_state_lambda_closed(
     # mixed-mode rules 2j * -0.0 has the imaginary part -0.0.
     lam12 = 2j * ((y - x) / (x + y) * cross + 0.0)
     return GroundStateLambda(lambda11=lam11, lambda22=lam22, lambda12=lam12)
-
-
-def ground_state_lambda_numeric(params: OscillatorParams) -> GroundStateLambda:
-    """Ground-state exponent matrix via numerically computed eigenvectors.
-
-    Solves the left eigenproblem of the dynamical matrix with a dense
-    eigensolver, assembles xi from the position components and eta from
-    the momentum components of the two eigenvectors with eigenvalues
-    -i*sigma_i, and returns Lambda = i * eta^{-1} xi (symmetrized).  The
-    result is invariant under any rescaling or mixing of the eigenvector
-    rows, so no normalization is needed; this is the independent check on
-    the closed forms.
-    """
-    import numpy as np
-
-    omega = build_omega_matrix(params)
-    evals, vl = np.linalg.eig(omega.T)
-    order = np.argsort(evals.imag)
-    neg = order[:2]  # the two eigenvalues -i*sigma_i
-    u = vl[:, neg].T
-    xi = u[:, [0, 2]]
-    eta = u[:, [1, 3]]
-    det_eta = np.linalg.det(eta)
-    if abs(det_eta) < 1e-12 * np.abs(eta).max() ** 2:
-        raise SingularConfigurationError(
-            f"eigenbasis momentum block is ill-conditioned (det = {det_eta})"
-        )
-    lam = 1j * np.linalg.inv(eta) @ xi
-    lam = (lam + lam.T) / 2
-    scale = np.abs(lam).max()
-    if abs(lam[0, 0].imag) > 1e-9 * scale or abs(lam[1, 1].imag) > 1e-9 * scale:
-        raise SingularConfigurationError(
-            f"numeric exponent matrix has non-real diagonal: {lam.diagonal()}"
-        )
-    return GroundStateLambda(
-        lambda11=lam[0, 0].real,
-        lambda22=lam[1, 1].real,
-        lambda12=complex(lam[0, 1]),
-    )
 
 
 def ground_state_as_gaussian(lam: GroundStateLambda) -> TwoModeGaussian:

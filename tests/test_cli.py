@@ -312,6 +312,13 @@ class TestSweep:
         assert got == code
         assert word in err and "Traceback" not in err
 
+    def test_sweep_too_large_for_memory_exits_2(self, capsys):
+        # numpy refuses the 7.11 PiB request at once, so nothing is allocated.
+        flags = ["--kind", "theta", "--start", "0", "--stop", "1", "--steps", "1000000000000000"]
+        code, err = exit_code(capsys, "sweep", *flags)
+        assert code == 2
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
 
 class TestSpectrum:
     def test_commutative_unit_levels(self, capsys):
@@ -349,6 +356,19 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", *FIG1_FLAGS, "--theta", "1")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    def test_huge_theta_reports_every_check(self, capsys):
+        # The dense eigensolver loses sigma2 here and the grid cannot carry
+        # the residual; the report says so instead of exiting 3.
+        code, out, err = run(capsys, "validate", *FIG1_FLAGS, "--theta", "1e8")
+        assert code == 5
+        report = json.loads(out)
+        assert list(report) == [
+            "eigen_residual", "schrodinger_residual", "moment_max_err", "es_spread", "passed"
+        ]
+        assert report["eigen_residual"] == pytest.approx(0.898, abs=1e-3)
+        assert report["moment_max_err"] < 1e-12 and report["es_spread"] < 1e-12
+        assert "eigen_residual, schrodinger_residual above threshold" in err
 
     def test_undersized_grid_rejected(self, capsys):
         code, _, err = run(capsys, "validate", "--grid-points", "16")

@@ -1,10 +1,9 @@
-"""Two-mode Gaussian states: normalization, covariance, E_S and E_F."""
+"""Two-mode Gaussian states: normalizability, covariance, E_S and E_F."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from ncho import (
     CovarianceBlocks,
@@ -12,42 +11,14 @@ from ncho import (
     TwoModeGaussian,
     covariance_blocks,
     entanglement_of_formation,
-    normalization,
     simon_es,
 )
 from ncho.gaussian import _formation
 from support import random_state
 
 
-def quadrature_norm_sq(state, box=12.0):
-    """Independent |N0|^2 by direct 2D integration of |psi|^2 with N0 = 1."""
-    a1, b1, g1 = state.alpha.real, state.beta.real, state.gamma.real
-
-    def density(y, x):
-        return math.exp(-(a1 * x * x + b1 * y * y + 2 * g1 * x * y))
-
-    val, _ = integrate.dblquad(density, -box, box, -box, box, epsabs=1e-12, epsrel=1e-12)
-    return 1.0 / val
-
-
 class TestNormalization:
-    def test_uncoupled_unit_gaussian(self):
-        state = TwoModeGaussian(1, 1, 0)
-        assert normalization(state) == pytest.approx(1 / math.pi, rel=1e-14)
-
-    def test_coupled_state_against_quadrature(self):
-        state = TwoModeGaussian(1, 1, 0.5)
-        expected = math.sqrt(3) / (2 * math.pi)  # 0.27566444771089604
-        assert quadrature_norm_sq(state) == pytest.approx(expected, rel=1e-9)
-        assert normalization(state) == pytest.approx(expected, rel=1e-14)
-
-    def test_random_states_against_quadrature(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            state = random_state(rng)
-            assert normalization(state) == pytest.approx(
-                quadrature_norm_sq(state), rel=1e-8
-            )
+    """The conditions under which a TwoModeGaussian is normalizable."""
 
     def test_boundary_of_width_determinant_rejected(self):
         with pytest.raises(DomainError, match="Re\\(alpha\\)\\*Re\\(beta\\)"):

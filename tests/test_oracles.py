@@ -27,7 +27,7 @@ from ncho import (
     schrodinger_residual,
 )
 from ncho.oracles import eigen_max_err, expected_eigenvalues, failing_checks, moment_max_err
-from support import fig1, random_params, random_state
+from support import fft_moment_quadrature, fig1, random_params
 
 UNIT = OscillatorParams(1, 1, 0.5, 0.5, 0)
 
@@ -175,7 +175,7 @@ class TestSchrodingerResidual:
     def test_matches_stencil_on_validation_box(self, grid):
         for p in validation_box_points(11, 6) + [OscillatorParams(1, 1, 5, 20, 1)]:
             lam = ground_state_lambda_closed(p, mode_spectrum(p))
-            corrupted = GroundStateLambda(lam.lambda11, lam.lambda22, lam.lambda12 + 0.3)
+            corrupted = GroundStateLambda(lam.lambda11, lam.lambda22, lam.lambda12 + 0.3j)
             for state in (lam, corrupted):
                 assert schrodinger_residual(p, state, grid) == pytest.approx(
                     stencil_residual(p, state, grid), rel=1e-9
@@ -189,12 +189,12 @@ class TestSchrodingerResidual:
     @pytest.mark.parametrize(
         "lam",
         [GroundStateLambda(r, 1.0, 0.5j) for r in STIFF_RATIOS]
-        + [GroundStateLambda(1.0, r, -0.3 + 0.5j) for r in STIFF_RATIOS]
-        + [GroundStateLambda(1e4, 1.0, 50.0), GroundStateLambda(1.0, 1e3, 20 + 0.5j)],
+        + [GroundStateLambda(1.0, r, 0.5j) for r in STIFF_RATIOS]
+        + [GroundStateLambda(1e4, 1.0, 50j), GroundStateLambda(1.0, 1e3, 20j)],
     )
     def test_stiff_states_stay_finite(self, lam):
-        # A ratio of psi's shifts overflows from lambda11/lambda22 = 2e3 on,
-        # and a weight of exp(-2 Re(lambda12) x1 x2) on the last two states.
+        # A ratio of psi's shifts overflows from a diagonal ratio of 2e3 on;
+        # the last two states add a large cross phase.
         p = fig1(1.0)
         r = schrodinger_residual(p, lam, GridSpec())
         assert math.isfinite(r)
@@ -221,14 +221,19 @@ class TestSchrodingerResidual:
         assert lam.lambda12.real == 0
         assert traced_peak(schrodinger_residual, p, lam, GridSpec()) < GRID_BYTES
 
-    def test_cross_weighted_state_keeps_the_grid_route(self):
+    def test_cross_weighted_state_is_rejected(self):
+        # |psi| does not separate where Re(lambda12) != 0, which no closed
+        # form gives.  For some of these states the weight exp(-2 Re(lambda12)
+        # x1 x2) leaves the float range on the default grid.
         p = fig1(1.0)
         lam = ground_state_lambda_closed(p, mode_spectrum(p))
-        shifted = GroundStateLambda(lam.lambda11, lam.lambda22, lam.lambda12 + 0.3)
-        assert schrodinger_residual(p, shifted, GridSpec()) == pytest.approx(
-            stencil_residual(p, shifted, GridSpec()), rel=1e-9
-        )
-        assert traced_peak(schrodinger_residual, p, shifted, GridSpec()) > GRID_BYTES
+        states = [GroundStateLambda(lam.lambda11, lam.lambda22, lam.lambda12 + 0.3)]
+        states += [GroundStateLambda(1.0, r, -0.3 + 0.5j) for r in STIFF_RATIOS]
+        states += [GroundStateLambda(1e4, 1.0, 50.0), GroundStateLambda(1.0, 1e3, 20 + 0.5j)]
+        states += [GroundStateLambda(1e6, 1.0, 500.0), GroundStateLambda(1.0, 1e6, -900 + 1j)]
+        for state in states:
+            with pytest.raises(DomainError, match="does not separate"):
+                schrodinger_residual(p, state, GridSpec())
 
     def test_vanishing_psi_rejected(self):
         # No point of the even 34-point grid is within reach of the narrow
@@ -273,53 +278,6 @@ class TestSchrodingerResidual:
             schrodinger_residual(UNIT, unit_lambda(), GridSpec(4.0, 257))
 
 
-def _fft_len(n):
-    """Smallest length >= n with no prime factor above 5, where FFTs are fast."""
-    m = n
-    while True:
-        r = m
-        for q in (2, 3, 5):
-            while r % q == 0:
-                r //= q
-        if r == 1:
-            return m
-        m += 1
-
-
-def _spectral_d1(f, h):
-    """First derivative along axis 0 by FFT, on samples zero-padded to a fast length."""
-    n = f.shape[0]
-    m = _fft_len(n)
-    k = 2 * np.pi * np.fft.fftfreq(m, h)
-    if m % 2 == 0:
-        k[m // 2] = 0.0  # the Nyquist mode's derivative is not resolved
-    spectrum = np.fft.fft(f, m, axis=0)
-    spectrum *= 1j * k[:, None]
-    return np.fft.ifft(spectrum, axis=0)[:n]
-
-
-def fft_moment_quadrature(state, grid):
-    """The moment definitions on sampled psi, differentiated by FFT."""
-    x, h = grid.axis(1.0 / math.sqrt(min(state.alpha.real, state.beta.real)))
-    x1, x2 = x[:, None], x[None, :]
-    psi = np.exp(-0.5 * (state.alpha * x1**2 + state.beta * x2**2 + 2 * state.gamma * x1 * x2))
-    d1 = _spectral_d1(psi, h)
-    d2 = _spectral_d1(psi.T, h).T
-    density = np.abs(psi) ** 2
-    norm = density.sum()
-    j1 = (np.conjugate(psi) * d1).imag
-    j2 = (np.conjugate(psi) * d2).imag
-    x1p1, x2p2 = x @ j1.sum(axis=1) / norm, x @ j2.sum(axis=0) / norm
-    return CovarianceBlocks(
-        a_block=[[x**2 @ density.sum(axis=1) / norm, x1p1], [x1p1, np.vdot(d1, d1).real / norm]],
-        b_block=[[x**2 @ density.sum(axis=0) / norm, x2p2], [x2p2, np.vdot(d2, d2).real / norm]],
-        c_block=[
-            [x @ density @ x / norm, x @ j2.sum(axis=1) / norm],
-            [x @ j1.sum(axis=0) / norm, np.vdot(d1, d2).real / norm],
-        ],
-    )
-
-
 def closed_state(p):
     return ground_state_as_gaussian(ground_state_lambda_closed(p, mode_spectrum(p)))
 
@@ -347,8 +305,9 @@ class TestMomentQuadrature:
             )
 
     def test_generic_complex_state(self):
+        # Re(gamma) != 0: the package oracle rejects it, the FFT route does not.
         state = TwoModeGaussian(2 + 1j, 1, 0.5)
-        quad = gaussian_moment_quadrature(state, GridSpec())
+        quad = fft_moment_quadrature(state, GridSpec())
         closed = covariance_blocks(state)
         for name in ("a_block", "b_block", "c_block"):
             np.testing.assert_allclose(
@@ -366,30 +325,11 @@ class TestMomentQuadrature:
                 fft = fft_moment_quadrature(state, grid)
                 assert moment_max_err(fft, gaussian_moment_quadrature(state, grid)) < 1e-12
 
-    def test_matches_fft_route_on_random_states(self):
-        # test_07's states at 96 points, 1.49 or more per narrow length.  The
-        # position sums agree; the momentum moments differ by up to 1.5e-10,
-        # the size of each route's own error (FFT 1.45e-10, exact 1.15e-10).
-        rng = np.random.default_rng(107)
-        grid = GridSpec(8.0, 96)
-        worst_fft = worst_new = 0.0
-        for _ in range(50):
-            state = random_state(rng)
-            closed = covariance_blocks(state)
-            fft = fft_moment_quadrature(state, grid)
-            quad = gaussian_moment_quadrature(state, grid)
-            for name in ("a_block", "b_block", "c_block"):  # <x1^2>, <x2^2>, <x1 x2>
-                assert getattr(quad, name)[0, 0] == pytest.approx(
-                    getattr(fft, name)[0, 0], rel=1e-12, abs=1e-12 * fft.a_block[0, 0]
-                )
-            worst_fft = max(worst_fft, moment_max_err(closed, fft))
-            worst_new = max(worst_new, moment_max_err(closed, quad))
-        assert worst_new <= worst_fft < 1e-9
-
     @pytest.mark.parametrize("entry", TEN_MOMENTS, ids=lambda e: f"{e[0][0]}{e[1]}{e[2]}")
     def test_catches_a_wrong_closed_form_entry(self, entry):
+        # Re(gamma) != 0 reaches every entry, so the FFT route is the oracle.
         state = TwoModeGaussian(1.3 + 0.4j, 0.8 - 0.6j, 0.5 + 0.7j)
-        quad = gaussian_moment_quadrature(state, GridSpec())
+        quad = fft_moment_quadrature(state, GridSpec())
         closed = covariance_blocks(state)
         assert moment_max_err(closed, quad) < 1e-12
         name, i, j = entry
@@ -416,6 +356,15 @@ class TestMomentQuadrature:
         state = closed_state(fig1(1.0))
         assert state.gamma.real == 0
         assert traced_peak(gaussian_moment_quadrature, state, GridSpec()) < GRID_BYTES
+
+    def test_cross_weighted_state_is_rejected(self):
+        # A strongly correlated state (kappa = 0.89) and a real cross coefficient.
+        for state in (
+            TwoModeGaussian(0.877 - 0.566j, 0.849 + 0.202j, -0.770 + 0.772j),
+            TwoModeGaussian(1, 1, 0.5),
+        ):
+            with pytest.raises(DomainError, match="does not separate"):
+                gaussian_moment_quadrature(state, GridSpec())
 
     def test_under_resolved_grid_rejected(self):
         # widths differ by 400x: 33 points cannot resolve the narrow mode
@@ -459,6 +408,13 @@ class TestRunValidation:
         report = run_validation(p, lambda_override=bad)
         assert not report.passed
         assert report.schrodinger_residual > 0.1
+
+    def test_cross_weighted_override_rejected_before_any_oracle(self):
+        p = fig1(1.0)
+        lam = ground_state_lambda_closed(p, mode_spectrum(p))
+        bad = GroundStateLambda(lam.lambda11, lam.lambda22, lam.lambda12 + 0.3)
+        with pytest.raises(DomainError, match="lambda12"):
+            run_validation(p, lambda_override=bad)
 
     @pytest.mark.parametrize(
         "params, grid",
