@@ -24,6 +24,8 @@ from .errors import DomainError, GridConfigurationError, NchoError
 from .oscillator import OscillatorParams
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     import numpy as np
 
 EXIT_OK = 0
@@ -33,6 +35,10 @@ EXIT_IO = 4
 EXIT_VALIDATION = 5
 
 SWEEP_HEADER = "sweep_value,e_s,omega,e_f,sigma1,sigma2"
+# Rows rendered and written per block: the output text never holds more.
+BLOCK_ROWS = 1024
+# Most levels ``spectrum`` builds, (n_max + 1)^2.
+MAX_LEVELS = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -115,12 +121,39 @@ def _params_from(args: argparse.Namespace) -> OscillatorParams:
     )
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(output: str | None, head: str, row: str = "", sep: str = "",
+           tail: str = "", blocks: Iterable[list] = ()) -> None:
+    """Write HEAD, the rows of BLOCKS through ROW joined by SEP, then TAIL.
+
+    ROW holds one %-conversion per value, and each block is a flat list of
+    its rows' values.  The output is opened here, after the caller's checks,
+    so a command that fails before it writes creates no file.
+    """
+    fh = open(output, "w") if output else sys.stdout
+    try:
+        fh.write(head)
+        width = row.count("%")
+        lead = ""
+        for values in blocks:
+            fh.write((lead + sep.join([row] * (len(values) // width))) % tuple(values))
+            lead = sep
+        fh.write(tail)
+    finally:
+        if output:
+            fh.close()
+
+
+def _table_layout(fmt: str, keys: list[str], csv_row: str) -> tuple[str, str, str, str]:
+    """Head, row template, row separator and tail of a table of KEYS.
+
+    The JSON layout is that of ``json.dumps(rows, indent=2)`` over one dict
+    per row: for the ints and finite floats of the tables, ``%r`` prints what
+    ``json`` prints.
+    """
+    if fmt == "csv":
+        return ",".join(keys) + "\n", csv_row, "\n", "\n"
+    fields = ",\n".join(f'    "{k}": %r' for k in keys)
+    return "[\n", "  {\n" + fields + "\n  }", ",\n", "\n]\n"
 
 
 def analyze_report(params: OscillatorParams) -> dict:
@@ -171,7 +204,7 @@ def _render_flat(report: dict, fmt: str) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze_report(_params_from(args))
-    _emit(_render_flat(report, args.format), args.output)
+    _write(args.output, _render_flat(report, args.format))
     return EXIT_OK
 
 
@@ -207,35 +240,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         args.m1, args.m2, args.alpha1, args.alpha2, args.theta, args.product,
     )
     keys = SWEEP_HEADER.split(",")
-    # One row-major (steps x 6) table, converted to Python floats in one call.
-    table = np.column_stack([cols[k] for k in keys])
-    if args.format == "json":
-        text = json.dumps([dict(zip(keys, row)) for row in table.tolist()], indent=2) + "\n"
-    else:
-        # One % over every row's template: _fmt's format, 6 values a line.
-        line = ",".join(["%.12g"] * len(keys)) + "\n"
-        text = SWEEP_HEADER + "\n" + line * len(table) % tuple(table.ravel().tolist())
-    _emit(text, args.output)
+    columns = [cols[k] for k in keys]
+
+    def blocks():
+        # Each block's rows as one row-major table, converted to Python
+        # floats in one call.
+        for lo in range(0, args.steps, BLOCK_ROWS):
+            yield np.column_stack([c[lo:lo + BLOCK_ROWS] for c in columns]).ravel().tolist()
+
+    # CSV rows in _fmt's format.
+    layout = _table_layout(args.format, keys, ",".join(["%.12g"] * len(keys)))
+    _write(args.output, *layout, blocks())
     return EXIT_OK
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    if args.n_max < 0:
-        raise DomainError(f"--n-max must be nonnegative, got {args.n_max}")
+    if args.n_max < 0 or (args.n_max + 1) ** 2 > MAX_LEVELS:
+        raise DomainError(
+            f"--n-max must be nonnegative with (n_max + 1)^2 <= {MAX_LEVELS}, got {args.n_max}"
+        )
     spec = oscillator.mode_spectrum(_params_from(args))
-    levels = [
-        {"n1": n1, "n2": n2, "energy": oscillator.energy_level(spec, n1, n2)}
-        for n1 in range(args.n_max + 1)
-        for n2 in range(args.n_max + 1)
-    ]
-    levels.sort(key=lambda row: (row["energy"], row["n1"], row["n2"]))
-    if args.format == "json":
-        text = json.dumps(levels, indent=2) + "\n"
-    else:
-        lines = ["n1,n2,energy"]
-        lines += [f"{r['n1']},{r['n2']},{_fmt(r['energy'])}" for r in levels]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    n = range(args.n_max + 1)
+    levels = sorted((oscillator.energy_level(spec, n1, n2), n1, n2) for n1 in n for n2 in n)
+
+    def blocks():
+        for lo in range(0, len(levels), BLOCK_ROWS):
+            yield [v for e, n1, n2 in levels[lo:lo + BLOCK_ROWS] for v in (n1, n2, e)]
+
+    layout = _table_layout(args.format, ["n1", "n2", "energy"], "%d,%d,%.12g")
+    _write(args.output, *layout, blocks())
     return EXIT_OK
 
 
@@ -251,7 +284,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "es_spread": report.es_spread,
         "passed": report.passed,
     }
-    _emit(_render_flat(payload, args.format), args.output)
+    _write(args.output, _render_flat(payload, args.format))
     if report.passed:
         return EXIT_OK
     failing = ", ".join(oracles.failing_checks(report))

@@ -304,19 +304,13 @@ def run_validation(
     params: OscillatorParams,
     grid: GridSpec | None = None,
     thresholds: ValidationThresholds | None = None,
-    lambda_override: GroundStateLambda | None = None,
 ) -> ValidationReport:
-    """Run every oracle against the closed-form pipeline for one parameter set.
-
-    ``lambda_override`` substitutes the ground-state exponent matrix fed to
-    the Schrodinger and moment checks; it exists so tests can verify that a
-    corrupted state is detected.
-    """
+    """Run every oracle against the closed-form pipeline for one parameter set."""
     grid = grid or GridSpec()
     thresholds = thresholds or ValidationThresholds()
 
     spec = oscillator.mode_spectrum(params)
-    lam = lambda_override or oscillator.ground_state_lambda_closed(params, spec)
+    lam = oscillator.ground_state_lambda_closed(params, spec)
     state = oscillator.ground_state_as_gaussian(lam)
     # Both grid guards run before any oracle work, so a grid that cannot
     # resolve the state fails with its GridConfigurationError alone.

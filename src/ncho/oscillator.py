@@ -229,10 +229,24 @@ def _sigma1_underflow(params) -> NumericRangeError:
 
 
 def energy_level(spectrum: ModeSpectrum, n1: int, n2: int) -> float:
-    """E(n1, n2) = sigma1*(n1 + 1/2) + sigma2*(n2 + 1/2)."""
+    """E(n1, n2) = sigma1*(n1 + 1/2) + sigma2*(n2 + 1/2).
+
+    Raises ``NumericRangeError`` where E is not a finite float.
+    """
     if not (n1 >= 0 and n2 >= 0 and n1 % 1 == 0 and n2 % 1 == 0):  # NaN and inf fail too
         raise DomainError(f"quantum numbers must be nonnegative integers, got ({n1}, {n2})")
-    return spectrum.sigma1 * (n1 + 0.5) + spectrum.sigma2 * (n2 + 0.5)
+    try:
+        energy = spectrum.sigma1 * (n1 + 0.5) + spectrum.sigma2 * (n2 + 0.5)
+    except OverflowError:  # an int quantum number beyond the float range
+        energy = math.inf
+    if not math.isfinite(energy):
+        # The quantum numbers are not printed: an int of thousands of digits
+        # cannot be converted to a string.
+        raise NumericRangeError(
+            f"energy level overflows the float range (sigma1 = {spectrum.sigma1}, "
+            f"sigma2 = {spectrum.sigma2})"
+        )
+    return energy
 
 
 def ground_state_lambda_closed(

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,7 @@ from ncho import (
     NumericRangeError,
     OscillatorParams,
     cli,
+    energy_level,
     entanglement_of_formation,
     es_closed_form,
     mode_spectrum,
@@ -312,6 +314,53 @@ class TestSweep:
         assert got == code
         assert word in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("dest", ["stdout", "output"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "steps",
+        [cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1, 2 * cli.BLOCK_ROWS + 3],
+        ids=["block-1", "block", "block+1", "2block+3"],
+    )
+    def test_bytes_across_block_boundaries(self, capsys, tmp_path, steps, fmt, dest):
+        flags = ["--kind", "ratio", "--start", "0.05", "--stop", "20", "--steps", str(steps),
+                 "--theta", "2", "--product", "10"]
+        rows = per_value_rows(flags)
+        if fmt == "json":
+            want = json.dumps(rows, indent=2) + "\n"
+        else:
+            lines = [cli.SWEEP_HEADER] + [",".join(cli._fmt(v) for v in r.values()) for r in rows]
+            want = "\n".join(lines) + "\n"
+        target = tmp_path / "sweep.out"
+        argv = ["sweep", *flags, "--format", fmt] + (["--output", str(target)] if dest == "output" else [])
+        code, out, _ = run(capsys, *argv)
+        got = target.read_text() if dest == "output" else out
+        assert code == 0 and got == want
+        assert out == "" or dest == "stdout"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_sweep_creates_no_file(self, capsys, tmp_path, fmt):
+        # The b-squared-overflow case of the error contract.
+        target = tmp_path / "sweep.out"
+        code, out, _ = run(capsys, "sweep", "--kind", "theta", "--start", "0", "--stop", "1e200",
+                           "--steps", "7", *FIG1_FLAGS, "--format", fmt, "--output", str(target))
+        assert code == 3 and out == "" and not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_text_is_held_one_block_at_a_time(self, tmp_path, fmt):
+        # 100k rows: 4.8 MB of columns; the whole text would be 8.3 MB (CSV)
+        # or 25 MB (JSON), and its Python floats and templates more again.
+        target = tmp_path / "sweep.out"
+        argv = ["sweep", "--kind", "theta", "--start", "0", "--stop", "20", "--steps", "100000",
+                *FIG1_FLAGS, "--format", fmt, "--output", str(target)]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and target.stat().st_size > 8_000_000
+        assert peak <= 20e6
+
     def test_sweep_too_large_for_memory_exits_2(self, capsys):
         # numpy refuses the 7.11 PiB request at once, so nothing is allocated.
         flags = ["--kind", "theta", "--start", "0", "--stop", "1", "--steps", "1000000000000000"]
@@ -344,6 +393,28 @@ class TestSpectrum:
     def test_negative_n_max_rejected(self, capsys):
         code, _, _ = run(capsys, "spectrum", "--n-max", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("n_max", ["1000", "10" * 30])
+    def test_n_max_beyond_level_bound_rejected(self, capsys, tmp_path, n_max):
+        # (1000 + 1)^2 levels exceed 10^6: refused before any level is built.
+        target = tmp_path / "levels.json"
+        code, out, err = run(capsys, "spectrum", "--n-max", n_max, "--output", str(target))
+        assert code == 2 and out == "" and "n_max + 1" in err and not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_across_block_boundary(self, capsys, fmt):
+        # (40 + 1)^2 = 1681 levels: two blocks.
+        code, out, _ = run(capsys, "spectrum", *FIG1_FLAGS, "--theta", "1", "--n-max", "40",
+                           "--format", fmt)
+        spec = mode_spectrum(fig1(1.0))
+        levels = sorted((energy_level(spec, n1, n2), n1, n2) for n1 in range(41) for n2 in range(41))
+        if fmt == "json":
+            want = json.dumps([{"n1": n1, "n2": n2, "energy": e} for e, n1, n2 in levels],
+                              indent=2) + "\n"
+        else:
+            want = "\n".join(["n1,n2,energy"] + [f"{n1},{n2},{cli._fmt(e)}" for e, n1, n2 in levels])
+            want += "\n"
+        assert code == 0 and out == want
 
     def test_underflowing_sigma1_exits_3(self, capsys):
         code, err = exit_code(capsys, "spectrum", *SIGMA1_UNDERFLOW_FLAGS)

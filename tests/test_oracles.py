@@ -402,19 +402,21 @@ class TestRunValidation:
         assert run_validation(fig1(0.0)).passed
 
     def test_corrupted_lambda_fails(self):
+        # The state run_validation would feed its residual check, with
+        # Lambda11 off by 5 %: far above the check's threshold.
         p = fig1(1.0)
         lam = ground_state_lambda_closed(p, mode_spectrum(p))
         bad = GroundStateLambda(lam.lambda11 * 1.05, lam.lambda22, lam.lambda12)
-        report = run_validation(p, lambda_override=bad)
-        assert not report.passed
-        assert report.schrodinger_residual > 0.1
+        assert schrodinger_residual(p, bad, GridSpec()) > 0.1
 
-    def test_cross_weighted_override_rejected_before_any_oracle(self):
+    def test_cross_weighted_lambda_rejected_by_the_oracles(self):
         p = fig1(1.0)
         lam = ground_state_lambda_closed(p, mode_spectrum(p))
         bad = GroundStateLambda(lam.lambda11, lam.lambda22, lam.lambda12 + 0.3)
         with pytest.raises(DomainError, match="lambda12"):
-            run_validation(p, lambda_override=bad)
+            schrodinger_residual(p, bad, GridSpec())
+        with pytest.raises(DomainError, match="does not separate"):
+            gaussian_moment_quadrature(ground_state_as_gaussian(bad), GridSpec())
 
     @pytest.mark.parametrize(
         "params, grid",

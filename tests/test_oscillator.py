@@ -243,6 +243,12 @@ class TestEnergyLevels:
             with pytest.raises(DomainError):
                 energy_level(s, n1, n2)
 
+    @pytest.mark.parametrize("n1", [1e308, 10**400], ids=["float-overflow", "int-beyond-float"])
+    def test_overflowing_level_raises_range_error(self, n1):
+        # Fig. 1: sigma1*(1e308 + 1/2) is inf, and 10**400 + 0.5 has no float.
+        with pytest.raises(NumericRangeError, match="energy level"):
+            energy_level(mode_spectrum(fig1(1.0)), n1, 0)
+
 
 class TestGroundStateLambda:
     def test_commutative_widths(self):
