@@ -20,7 +20,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import gaussian, oscillator
-from .errors import DomainError, GridConfigurationError, NchoError
+from .errors import DomainError, NchoError
 from .oscillator import OscillatorParams
 
 if TYPE_CHECKING:
@@ -89,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common_args(p)
 
     p = sub.add_parser("validate", help="run numerical oracles")
-    p.add_argument("--grid-points", type=int, default=257)
-    p.add_argument("--grid-extent", type=float, default=8.0)
     _param_args(p)
     _common_args(p)
 
@@ -275,8 +273,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     from . import oracles
 
-    grid = oracles.GridSpec(extent=args.grid_extent, points_per_axis=args.grid_points)
-    report = oracles.run_validation(_params_from(args), grid)
+    report = oracles.run_validation(_params_from(args))
     payload = {
         "eigen_residual": report.eigen_residual,
         "schrodinger_residual": report.schrodinger_residual,
@@ -308,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
             "validate": cmd_validate,
         }[args.command]
         return handler(args)
-    except (DomainError, GridConfigurationError, MemoryError) as exc:
+    except (DomainError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NchoError as exc:

@@ -31,7 +31,9 @@ class TwoModeGaussian(namedtuple("TwoModeGaussian", "alpha beta gamma")):
 
     Requires Re(alpha) > 0, Re(beta) > 0 and
     Re(alpha)*Re(beta) - Re(gamma)^2 > 0 so the state is square
-    integrable.
+    integrable.  Where Re(gamma) = 0, as for every closed-form ground
+    state, the first two imply the third, and the product, which can
+    underflow to 0 for a valid state, is not formed.
     """
 
     __slots__ = ()
@@ -42,7 +44,7 @@ class TwoModeGaussian(namedtuple("TwoModeGaussian", "alpha beta gamma")):
             raise DomainError(f"Re(alpha) > 0 violated: Re(alpha) = {alpha.real}")
         if not (beta.real > 0):
             raise DomainError(f"Re(beta) > 0 violated: Re(beta) = {beta.real}")
-        if not (self.delta_sq > 0):
+        if gamma.real != 0 and not (self.delta_sq > 0):
             raise DomainError(f"Re(alpha)*Re(beta) - Re(gamma)^2 > 0 violated: got {self.delta_sq}")
         return self
 
@@ -85,7 +87,8 @@ def covariance_blocks(state: TwoModeGaussian) -> CovarianceBlocks:
 
     The position moments depend only on the real parts of the exponent
     coefficients; the momentum and mixed moments pick up the imaginary
-    parts as well.
+    parts as well.  Raises ``NumericRangeError`` where a denominator
+    underflows to 0.
     """
     import numpy as np
 
@@ -93,6 +96,8 @@ def covariance_blocks(state: TwoModeGaussian) -> CovarianceBlocks:
     b1, b2 = state.beta.real, state.beta.imag
     g1, g2 = state.gamma.real, state.gamma.imag
     d2 = state.delta_sq
+    if not 2 * a1 * d2 > 0:  # then 2*d2 > 0 too: no denominator below is 0
+        raise NumericRangeError(f"covariance denominators underflow to 0 for {state}")
 
     x1x1 = b1 / (2 * d2)
     x2x2 = a1 / (2 * d2)

@@ -176,8 +176,8 @@ def _quartic_b(alpha1, alpha2, th2, canon: CanonicalSystem):
     return canon.omega1_sq + canon.omega2_sq + 2 * th2 * alpha1 * alpha2
 
 
-def _quartic_c_d(m1, m2, alpha1, alpha2, th2):
-    """c and the discriminant D = b^2 - 4c of the quartic, on floats or arrays.
+def _quartic_p_q_d(m1, m2, alpha1, alpha2, th2):
+    """p, q and the discriminant D = b^2 - 4c of the quartic, on floats or arrays.
 
     With p = 2*alpha1/m1, q = 2*alpha2/m2 and s = 4*theta^2*alpha1*alpha2,
     b = p + q + s and c = p*q, so D = (p - q)^2 + s*(2p + 2q + s): a sum of
@@ -187,17 +187,18 @@ def _quartic_c_d(m1, m2, alpha1, alpha2, th2):
     p = 2 * alpha1 / m1
     q = 2 * alpha2 / m2
     s = th2 * alpha1 * alpha2 * 4
-    return p * q, (p - q) ** 2 + s * (2 * p + 2 * q + s)
+    return p, q, (p - q) ** 2 + s * (2 * p + 2 * q + s)
 
 
-def _mode_frequencies(b, c, d, xp):
-    """sigma1 = sqrt((b + sqrt(D))/2) and sigma2 = sqrt(c)/sigma1.
+def _mode_frequencies(b, p, q, d, xp):
+    """sigma1 = sqrt((b + sqrt(D))/2) and sigma2 = sqrt(p)*sqrt(q)/sigma1.
 
-    sigma2 comes from the root product: sqrt((b - sqrt(D))/2) cancels badly
-    when c << b^2, while c = p*q carries no cancellation.
+    sigma2 comes from the root product sqrt(c): sqrt((b - sqrt(D))/2)
+    cancels badly when c << b^2, while sqrt(p)*sqrt(q) carries no
+    cancellation and, unlike c = p*q, no underflow.
     """
     sigma1 = xp.sqrt((b + xp.sqrt(d)) / 2)
-    return sigma1, xp.sqrt(c) / sigma1
+    return sigma1, xp.sqrt(p) * xp.sqrt(q) / sigma1
 
 
 def mode_spectrum(params: OscillatorParams) -> ModeSpectrum:
@@ -205,43 +206,45 @@ def mode_spectrum(params: OscillatorParams) -> ModeSpectrum:
 
     sigma_{1,2} = sqrt((b +- sqrt(D))/2) with D = b^2 - 4c, which is never
     negative.  Raises ``NumericRangeError`` when theta is so large that b^2
-    overflows, or when b and D are so small that sigma1 underflows to 0.
+    overflows, or where sigma1 or sigma2 underflows to 0.
     """
     p = params
     th2 = p.theta * p.theta
     b = _quartic_b(p.alpha1, p.alpha2, th2, bopp_shift(p))
     if not math.isfinite(b * b):
         raise _b_overflow(b, params)
-    c, d = _quartic_c_d(p.m1, p.m2, p.alpha1, p.alpha2, th2)
+    pp, qq, d = _quartic_p_q_d(p.m1, p.m2, p.alpha1, p.alpha2, th2)
     try:
-        sigma1, sigma2 = _mode_frequencies(b, c, d, _FLOAT_OPS)
+        sigma1, sigma2 = _mode_frequencies(b, pp, qq, d, _FLOAT_OPS)
     except ZeroDivisionError:
-        raise _sigma1_underflow(params) from None
-    return ModeSpectrum(b=b, c=c, d=d, sigma1=sigma1, sigma2=sigma2)
+        raise _underflow("sigma1", params) from None
+    if sigma2 == 0:
+        raise _underflow("sigma2", params)
+    return ModeSpectrum(b=b, c=pp * qq, d=d, sigma1=sigma1, sigma2=sigma2)
 
 
 def _b_overflow(b, params) -> NumericRangeError:
     return NumericRangeError(f"quartic coefficient b = {b} overflows b^2 for params {params}")
 
 
-def _sigma1_underflow(params) -> NumericRangeError:
-    return NumericRangeError(f"mode frequency sigma1 underflows to 0 for params {params}")
+def _underflow(sigma, params) -> NumericRangeError:
+    return NumericRangeError(f"mode frequency {sigma} underflows to 0 for params {params}")
 
 
 def energy_level(spectrum: ModeSpectrum, n1: int, n2: int) -> float:
     """E(n1, n2) = sigma1*(n1 + 1/2) + sigma2*(n2 + 1/2).
 
-    Raises ``NumericRangeError`` where E is not a finite float.
+    Raises ``NumericRangeError`` where E is not a finite float.  Neither
+    error prints the quantum numbers: an int of thousands of digits cannot
+    be converted to a string.
     """
     if not (n1 >= 0 and n2 >= 0 and n1 % 1 == 0 and n2 % 1 == 0):  # NaN and inf fail too
-        raise DomainError(f"quantum numbers must be nonnegative integers, got ({n1}, {n2})")
+        raise DomainError("quantum numbers must be nonnegative integers")
     try:
         energy = spectrum.sigma1 * (n1 + 0.5) + spectrum.sigma2 * (n2 + 0.5)
     except OverflowError:  # an int quantum number beyond the float range
         energy = math.inf
     if not math.isfinite(energy):
-        # The quantum numbers are not printed: an int of thousands of digits
-        # cannot be converted to a string.
         raise NumericRangeError(
             f"energy level overflows the float range (sigma1 = {spectrum.sigma1}, "
             f"sigma2 = {spectrum.sigma2})"
@@ -384,11 +387,12 @@ def entanglement_columns(m1, m2, alpha1, alpha2, theta) -> dict[str, np.ndarray]
         overflow = ~np.isfinite(b * b)
         if overflow.any():
             raise _b_overflow(b[overflow][0], row(overflow))
-        c, d = _quartic_c_d(m1, m2, alpha1, alpha2, th2)
-        sigma1, sigma2 = _mode_frequencies(b, c, d, np)
-        underflow = sigma1 == 0
-        if underflow.any():
-            raise _sigma1_underflow(row(underflow))
+        p, q, d = _quartic_p_q_d(m1, m2, alpha1, alpha2, th2)
+        sigma1, sigma2 = _mode_frequencies(b, p, q, d, np)
+        for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
+            underflow = sigma == 0
+            if underflow.any():
+                raise _underflow(name, row(underflow))
         e_s = _simon(m1, m2, alpha1, alpha2, theta, np)
         nonfinite = ~np.isfinite(e_s)
         if nonfinite.any():

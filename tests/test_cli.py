@@ -35,6 +35,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def reject_constant(name: str):
+    """``json.loads`` hook: NaN and Infinity are not JSON."""
+    raise ValueError(f"non-finite value {name} in the output")
+
+
 def cold(code: str, *argv: str) -> subprocess.CompletedProcess:
     """Run CODE with ARGV in a fresh interpreter that imports ncho from src/."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -441,22 +446,56 @@ class TestValidate:
         assert report["moment_max_err"] < 1e-12 and report["es_spread"] < 1e-12
         assert "eigen_residual, schrodinger_residual above threshold" in err
 
-    def test_undersized_grid_rejected(self, capsys):
-        code, _, err = run(capsys, "validate", "--grid-points", "16")
-        assert code == 2
-        assert "points_per_axis" in err
+    @pytest.mark.parametrize(
+        "flags, code",
+        [(["--m2", "1.8e16", "--alpha1", "1.1e-308"], 0), (["--alpha2", "160754694"], 5)],
+        ids=["sigma2-underflowed", "narrow-x2-envelope"],
+    )
+    def test_extreme_widths_report(self, flags, code):
+        # A shared moment axis refused both.  A fresh interpreter, so numpy's
+        # warnings reach stderr as they would.
+        proc = cold("from ncho.cli import entrypoint; entrypoint()", "validate", *flags)
+        assert proc.returncode == code
+        report = json.loads(proc.stdout, parse_constant=reject_constant)
+        assert report["passed"] is (code == 0)
+        assert report["moment_max_err"] < 1e-14
+        want = "" if code == 0 else "validation failed: schrodinger_residual above threshold\n"
+        assert proc.stderr == want
 
     @pytest.mark.parametrize(
         "flags",
-        [["--alpha2", "160754694", "--grid-points", "34"], ["--m2", "1.8e16", "--alpha1", "1.1e-308"]],
-        ids=["psi-vanishes-on-grid", "sigma2-underflows"],
+        [
+            # Re(alpha)*Re(beta) of the ground state underflows to 0.
+            ["--m1", "2.0525960107252939e-81", "--m2", "2.4766685037342248e-95",
+             "--alpha1", "1.3020380541233286e-146", "--alpha2", "4.549805912398335e+25",
+             "--theta", "2.0016881072844387e+132"],
+            # A denominator of the covariance blocks underflows to 0.
+            ["--m1", "9.363853846513709e-89", "--m2", "2.7720549198381852e-89",
+             "--alpha1", "5.758412595050464e-146", "--alpha2", "4.0191625554700025e-142",
+             "--theta", "1.6986222948082652e+92"],
+        ],
+        ids=["width-product", "covariance-denominator"],
     )
-    def test_unresolving_grid_prints_only_the_error(self, flags):
-        # A fresh interpreter, so numpy's warnings reach stderr as they would.
-        proc = cold("from ncho.cli import entrypoint; entrypoint()", "validate", *flags)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: grid spacing")
-        assert proc.stderr.count("\n") == 1
+    def test_underflowing_covariance_exits_3(self, capsys, flags):
+        code, out, err = run(capsys, "validate", *flags)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: covariance denominators underflow")
+
+    def test_extreme_inputs_end_in_a_documented_outcome(self, capsys):
+        # Log-uniform over 1e-150...1e150, theta included.  Every point
+        # passes, fails a check with a finite report, or leaves the float
+        # range; none is refused as usage, warns or ends in a traceback.
+        rng = random.Random(150)
+        names = ("--m1", "--m2", "--alpha1", "--alpha2", "--theta")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(500):
+                flags = [f"{k}={10 ** rng.uniform(-150, 150)!r}" for k in names]
+                code, out, err = run(capsys, "validate", *flags)
+                assert code in (0, 3, 5), (flags, err)
+                if code != 3:
+                    report = json.loads(out, parse_constant=reject_constant)
+                    assert report["passed"] is (code == 0), flags
 
 
 class TestPlumbing:
@@ -585,13 +624,13 @@ ODD_VALUES = ["nan", "-nan", "inf", "-inf", "1e309", "-1e309", "-0", "0", "1e-32
 ODD_CONFIGS = ['{"theta": 1e309}', '{"theta": 1', "[" * 100_000, '{"m1": ' * 100_000, "", "\x00",
                '{"steps": 1e3}', '{"steps": 2.5}', '{"kind": "bogus"}', "null"]
 # Size flags stay small so that no example allocates much: at most 200
-# sweep rows, (4 + 1)^2 levels and a 65^2 grid.
-SIZE_LIMITS = {"--steps": 200, "--n-max": 4, "--grid-points": 65}
+# sweep rows and (4 + 1)^2 levels.
+SIZE_LIMITS = {"--steps": 200, "--n-max": 4}
 COMMAND_FLAGS = {
     "analyze": [],
     "sweep": ["--kind", "--start", "--stop", "--steps", "--product"],
     "spectrum": ["--n-max"],
-    "validate": ["--grid-points", "--grid-extent"],
+    "validate": [],
 }
 REQUIRED = {"--kind", "--start", "--stop", "--steps"}
 PARAM_FLAGS = ["--m1", "--m2", "--alpha1", "--alpha2", "--theta"]

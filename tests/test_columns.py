@@ -99,6 +99,13 @@ def test_non_finite_e_s_raises_numeric_range_error():
         entanglement_columns(np.array([1.0, 1e-200]), 1e-200, 1e-200, 1e-200, 1.0)
 
 
+def test_underflowing_sigma2_raises_numeric_range_error():
+    # p = 2 alpha1/m1 underflows to 0 at the second row only.
+    with pytest.raises(NumericRangeError, match="sigma2 underflows.*m1=4e"):
+        entanglement_columns(np.array([1.0, 4e201]), np.array([1.0, 7e148]),
+                             np.array([5.0, 6e-126]), np.array([10.0, 3e-294]), np.array([1.0, 1e107]))
+
+
 def test_positive_e_s_rejected():
     with pytest.raises(DomainError, match="E_S = 1e-09 > 0"):
         formation_columns(np.array([-0.1, 1e-9]))

@@ -1,6 +1,7 @@
 """Numerical oracles: eigen-decomposition, residual, quadrature, bundle."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from ncho import (
     GroundStateLambda,
     OscillatorParams,
     TwoModeGaussian,
-    ValidationThresholds,
     bopp_shift,
     build_omega_matrix,
     covariance_blocks,
@@ -366,24 +366,27 @@ class TestMomentQuadrature:
             with pytest.raises(DomainError, match="does not separate"):
                 gaussian_moment_quadrature(state, GridSpec())
 
-    def test_under_resolved_grid_rejected(self):
-        # widths differ by 400x: 33 points cannot resolve the narrow mode
-        state = TwoModeGaussian(400.0, 1.0, 0)
-        with pytest.raises(GridConfigurationError):
-            gaussian_moment_quadrature(state, GridSpec(8.0, 33))
-
-    def test_momentum_width_counts(self):
-        # Im(alpha) widens the momentum spread: 0.80 points per narrow length.
-        with pytest.raises(GridConfigurationError):
-            gaussian_moment_quadrature(TwoModeGaussian(1 + 20j, 1, 0), GridSpec())
-        # 1.59 points per narrow length
-        state = TwoModeGaussian(1 + 10j, 1, 0)
-        quad = gaussian_moment_quadrature(state, GridSpec())
-        assert moment_max_err(covariance_blocks(state), quad) < 1e-12
+    @pytest.mark.parametrize(
+        "state, grid",
+        [
+            (TwoModeGaussian(1 + 20j, 1, 0), GridSpec()),  # Im(alpha) widens the momentum spread
+            (TwoModeGaussian(1, 1e6, 0.5j), GridSpec()),  # widths differ by 1000x
+            (TwoModeGaussian(1e-6, 1, 300j), GridSpec()),  # and a large cross term
+            (TwoModeGaussian(400.0, 1.0, 0), GridSpec(8.0, 33)),  # 20x on the smallest grid
+        ],
+        ids=["wide-momentum", "narrow-x2", "wide-x1", "coarse-grid"],
+    )
+    def test_each_axis_resolves_its_own_factor(self, state, grid):
+        # An axis shared by both factors, sized by the wider one, left the
+        # narrow factor or the momentum spread under-resolved here.
+        closed = covariance_blocks(state)
+        quad = gaussian_moment_quadrature(state, grid)
+        assert moment_max_err(closed, quad) < 1e-14
+        for name in ("a_block", "b_block"):
+            assert getattr(quad, name)[0, 0] == pytest.approx(getattr(closed, name)[0, 0], rel=1e-14)
 
     def test_strongly_anisotropic_state_resolved(self):
-        # 6.0 points per narrow length on the default grid, well above the
-        # guard; only the O(h^2) Schrodinger residual fails.
+        # Only the O(h^2) Schrodinger residual fails.
         report = run_validation(OscillatorParams(1, 1, 5, 100, 1))
         assert report.moment_max_err < 1e-12
         assert failing_checks(report) == ["schrodinger_residual"]
@@ -418,20 +421,13 @@ class TestRunValidation:
         with pytest.raises(DomainError, match="does not separate"):
             gaussian_moment_quadrature(ground_state_as_gaussian(bad), GridSpec())
 
-    @pytest.mark.parametrize(
-        "params, grid",
-        [(OscillatorParams(1, 1, 1, 160754694, 0), GridSpec(8.0, 34)),
-         (OscillatorParams(1, 1.8e16, 1.1e-308, 1, 0), GridSpec())],
-        ids=["psi-vanishes-on-grid", "sigma2-underflows"],
-    )
-    def test_grid_guards_run_before_any_oracle(self, params, grid):
-        # Either oracle alone would divide by zero first: the residual by
-        # psi's norm, eigen_max_err by sigma2 = 0.
-        with pytest.raises(GridConfigurationError, match="under-resolves"):
-            run_validation(params, grid)
-
-    def test_custom_thresholds(self):
-        strict = ValidationThresholds(schrodinger=1e-6)
-        report = run_validation(fig1(1.0), thresholds=strict)
-        assert not report.passed
-        assert failing_checks(report) == ["schrodinger_residual"]
+    def test_census_never_raises_and_moments_agree(self):
+        # The census box: log-uniform masses and stiffnesses over 1e-2...1e2
+        # and theta over 1e-3...1e2.  A moment axis shared by both factors
+        # refused 251 of these points and missed by up to 3.7e-8 on others.
+        rng = random.Random(7)
+        worst = 0.0
+        for _ in range(2000):
+            p = OscillatorParams(*(10 ** rng.uniform(-2, 2) for _ in range(4)), 10 ** rng.uniform(-3, 2))
+            worst = max(worst, run_validation(p).moment_max_err)
+        assert worst <= 1e-14

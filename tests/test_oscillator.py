@@ -12,6 +12,7 @@ import pytest
 from ncho import (
     DomainError,
     GroundStateLambda,
+    ModeSpectrum,
     NumericRangeError,
     OscillatorParams,
     anisotropy_ratio,
@@ -202,6 +203,16 @@ class TestModeSpectrum:
         with pytest.raises(NumericRangeError, match="sigma1 underflows"):
             mode_spectrum(OscillatorParams(1e200, 1e200, 1e-200, 1e-200, 0.0))
 
+    def test_sigma2_survives_an_underflowing_c(self):
+        # c = p*q underflows to 0 here; sigma2 = sqrt(p), the slower mode.
+        s = mode_spectrum(OscillatorParams(1, 1.8e16, 1.1e-308, 1, 0))
+        assert s.sigma2 == pytest.approx(math.sqrt(2 * 1.1e-308), rel=1e-15)
+
+    def test_underflowing_sigma2_raises(self):
+        # p = 2 alpha1/m1 itself underflows to 0.
+        with pytest.raises(NumericRangeError, match="sigma2 underflows"):
+            mode_spectrum(OscillatorParams(4e201, 7e148, 6e-126, 3e-294, 1e107))
+
     def test_fig1_spectrum(self):
         s = mode_spectrum(fig1(1.0))
         assert s.b == pytest.approx(230.0, rel=1e-14)
@@ -239,7 +250,8 @@ class TestEnergyLevels:
 
     def test_invalid_quantum_numbers(self):
         s = mode_spectrum(fig1(0.0))
-        for n1, n2 in ((-1, 0), (0, 1.5), (math.inf, 0), (0, math.nan)):
+        # -10**5000 has too many digits to print.
+        for n1, n2 in ((-1, 0), (0, 1.5), (math.inf, 0), (0, math.nan), (-10**5000, 0)):
             with pytest.raises(DomainError):
                 energy_level(s, n1, n2)
 
@@ -272,8 +284,12 @@ class TestGroundStateLambda:
     )
     def test_underflowing_denominator_raises(self, inputs):
         p = OscillatorParams(*inputs)
+        # sigma2 underflows at the second point, so mode_spectrum raises
+        # first; no denominator of Lambda reads the spectrum, so a stand-in
+        # reaches the same branch.
+        spec = ModeSpectrum(b=2.0, c=1.0, d=0.0, sigma1=1.0, sigma2=1.0)
         with pytest.raises(NumericRangeError, match="leave the float range"):
-            ground_state_lambda_closed(p, mode_spectrum(p))
+            ground_state_lambda_closed(p, spec)
 
     def test_isotropic_cross_term_vanishes(self):
         for theta in (0.1, 1.0, 10.0):
