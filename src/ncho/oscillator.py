@@ -57,17 +57,34 @@ class OscillatorParams(namedtuple("OscillatorParams", "m1 m2 alpha1 alpha2 theta
     __slots__ = ()
 
     def __new__(cls, m1, m2, alpha1, alpha2, theta):
+        # One chained comparison checks every field.  NaN fails it, and so
+        # does an int beyond the float range, which math.isfinite would
+        # reject with OverflowError; the loop below only builds the message.
+        if (
+            0 < m1 <= _HUGE and 0 < m2 <= _HUGE and 0 < alpha1 <= _HUGE
+            and 0 < alpha2 <= _HUGE and 0 <= theta <= _HUGE
+        ):
+            return tuple.__new__(cls, (m1, m2, alpha1, alpha2, theta))
         for name, v in (("m1", m1), ("m2", m2), ("alpha1", alpha1), ("alpha2", alpha2)):
-            if not (v > 0) or not math.isfinite(v):
-                raise DomainError(f"{name} must be positive and finite, got {v}")
-        if not (theta >= 0) or not math.isfinite(theta):
-            raise DomainError(f"theta must be nonnegative and finite, got {theta}")
-        return tuple.__new__(cls, (m1, m2, alpha1, alpha2, theta))
+            if not (0 < v <= _HUGE):
+                raise DomainError(f"{name} must be positive and finite, got {_shown(v)}")
+        raise DomainError(f"theta must be nonnegative and finite, got {_shown(theta)}")
 
     # namedtuple's own _make, which _replace calls, would skip these checks.
     _make = classmethod(lambda cls, values: cls(*values))
 
 
+def _shown(v):
+    """V as an error message shows it: an int beyond the float range, which
+    can have too many digits to print, is named instead."""
+    if isinstance(v, int) and not -_HUGE <= v <= _HUGE:
+        return "an int beyond the float range"
+    return v
+
+
+# The functions below build these results by position with tuple.__new__;
+# where a type's constructor checks its fields, the function has made that
+# check itself.
 CanonicalSystem = namedtuple("CanonicalSystem", "big_m1 big_m2 omega1_sq omega2_sq")
 CanonicalSystem.__doc__ = "Bopp-shifted effective masses and squared frequencies."
 
@@ -104,11 +121,8 @@ def _canonical(m1, m2, alpha1, alpha2, th2) -> CanonicalSystem:
     """The Bopp shift (see ``bopp_shift``) on floats or arrays; th2 = theta^2."""
     inv_m1 = 1.0 / m1 + alpha2 * th2 / 2.0
     inv_m2 = 1.0 / m2 + alpha1 * th2 / 2.0
-    return CanonicalSystem(
-        big_m1=1.0 / inv_m1,
-        big_m2=1.0 / inv_m2,
-        omega1_sq=2.0 * alpha1 * inv_m1,
-        omega2_sq=2.0 * alpha2 * inv_m2,
+    return tuple.__new__(
+        CanonicalSystem, (1.0 / inv_m1, 1.0 / inv_m2, 2.0 * alpha1 * inv_m1, 2.0 * alpha2 * inv_m2)
     )
 
 
@@ -220,7 +234,7 @@ def mode_spectrum(params: OscillatorParams) -> ModeSpectrum:
         raise _underflow("sigma1", params) from None
     if sigma2 == 0:
         raise _underflow("sigma2", params)
-    return ModeSpectrum(b=b, c=pp * qq, d=d, sigma1=sigma1, sigma2=sigma2)
+    return tuple.__new__(ModeSpectrum, (b, pp * qq, d, sigma1, sigma2))
 
 
 def _b_overflow(b, params) -> NumericRangeError:
@@ -299,7 +313,8 @@ def ground_state_lambda_closed(
     # The + 0.0 turns -0.0 (theta = 0 with y < x) into 0.0: under C99
     # mixed-mode rules 2j * -0.0 has the imaginary part -0.0.
     lam12 = 2j * ((y - x) / (x + y) * cross + 0.0)
-    return GroundStateLambda(lambda11=lam11, lambda22=lam22, lambda12=lam12)
+    # The range check above is the one GroundStateLambda's constructor makes.
+    return tuple.__new__(GroundStateLambda, (lam11, lam22, lam12))
 
 
 def ground_state_as_gaussian(lam: GroundStateLambda) -> TwoModeGaussian:
@@ -308,7 +323,7 @@ def ground_state_as_gaussian(lam: GroundStateLambda) -> TwoModeGaussian:
     alpha = Lambda11, beta = Lambda22 and gamma = Lambda12 (the cross term
     of psi00 is (Lambda12 + Lambda21) x1 x2 = 2*Lambda12 x1 x2).
     """
-    return TwoModeGaussian(alpha=lam.lambda11, beta=lam.lambda22, gamma=lam.lambda12)
+    return TwoModeGaussian(lam.lambda11, lam.lambda22, lam.lambda12)
 
 
 def _simon(m1, m2, alpha1, alpha2, theta, xp):
@@ -424,7 +439,7 @@ def asymptotic_bounds(params: OscillatorParams) -> AsymptoticBounds:
     if not (math.isfinite(e_s_limit) and math.isfinite(omega0)):
         raise _es_range(params)
     _, e_f_bound = gaussian.entanglement_of_formation(e_s_limit)
-    return AsymptoticBounds(e_s_limit=e_s_limit, omega0=omega0, e_f_bound=e_f_bound)
+    return tuple.__new__(AsymptoticBounds, (e_s_limit, omega0, e_f_bound))
 
 
 def anisotropy_ratio(params: OscillatorParams) -> float:

@@ -463,23 +463,32 @@ class TestValidate:
         assert proc.stderr == want
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, code, failing",
         [
-            # Re(alpha)*Re(beta) of the ground state underflows to 0.
-            ["--m1", "2.0525960107252939e-81", "--m2", "2.4766685037342248e-95",
-             "--alpha1", "1.3020380541233286e-146", "--alpha2", "4.549805912398335e+25",
-             "--theta", "2.0016881072844387e+132"],
-            # A denominator of the covariance blocks underflows to 0.
-            ["--m1", "9.363853846513709e-89", "--m2", "2.7720549198381852e-89",
-             "--alpha1", "5.758412595050464e-146", "--alpha2", "4.0191625554700025e-142",
-             "--theta", "1.6986222948082652e+92"],
+            # Re(alpha)*Re(beta) of the ground state underflows to 0.  E_S =
+            # -3.4e91 here, and the dense eig, the residual and Simon's
+            # functional of the blocks (terms of 1e183) lose every digit.
+            (["--m1", "2.0525960107252939e-81", "--m2", "2.4766685037342248e-95",
+              "--alpha1", "1.3020380541233286e-146", "--alpha2", "4.549805912398335e+25",
+              "--theta", "2.0016881072844387e+132"],
+             5, "eigen_residual, schrodinger_residual, es_spread"),
+            # Re(alpha)*Re(beta) = 4.9e-232 is representable, but
+            # 2*Re(alpha)*(Re(alpha)*Re(beta)) underflows.
+            (["--m1", "9.363853846513709e-89", "--m2", "2.7720549198381852e-89",
+              "--alpha1", "5.758412595050464e-146", "--alpha2", "4.0191625554700025e-142",
+              "--theta", "1.6986222948082652e+92"],
+             0, ""),
         ],
         ids=["width-product", "covariance-denominator"],
     )
-    def test_underflowing_covariance_exits_3(self, capsys, flags):
-        code, out, err = run(capsys, "validate", *flags)
-        assert code == 3 and out == ""
-        assert err.startswith("numerical failure: covariance denominators underflow")
+    def test_underflowing_width_product_reaches_the_checks(self, capsys, flags, code, failing):
+        # The covariance blocks never form Re(alpha)*Re(beta), so both
+        # points report, and the moments agree with the quadrature.
+        got, out, err = run(capsys, "validate", *flags)
+        assert got == code
+        report = json.loads(out, parse_constant=reject_constant)
+        assert report["moment_max_err"] < 1e-14
+        assert err == (f"validation failed: {failing} above threshold\n" if failing else "")
 
     def test_extreme_inputs_end_in_a_documented_outcome(self, capsys):
         # Log-uniform over 1e-150...1e150, theta included.  Every point
@@ -526,6 +535,17 @@ class TestPlumbing:
         code, _, err = run(capsys, "analyze", "--config", str(cfg))
         assert code == 2
         assert "not_a_flag" in err
+
+    def test_null_config_value_exits_2(self, capsys, tmp_path, monkeypatch):
+        # A null must not reach the parser as the string "None", which as
+        # --output names a file.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"output": null}')
+        code, out, err = run(capsys, "analyze", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: configuration key 'output' is null\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "command, text",

@@ -8,6 +8,7 @@ import pytest
 from ncho import (
     CovarianceBlocks,
     DomainError,
+    NumericRangeError,
     TwoModeGaussian,
     covariance_blocks,
     entanglement_of_formation,
@@ -52,6 +53,27 @@ class TestCovarianceBlocks:
         assert cov.a_block[0, 0] == pytest.approx(0.5)
         assert cov.c_block[0, 0] == 0  # <x1 x2> vanishes with Re(gamma) = 0
         assert np.linalg.det(cov.c_block) == pytest.approx(-g * g / 4, rel=1e-13)
+
+    @pytest.mark.parametrize("gamma", [0j, 4.1e-140j])
+    def test_underflowing_width_product(self, gamma):
+        # Re(alpha)*Re(beta) = 4.9e-232 is representable, but
+        # 2*Re(alpha)*4.9e-232 underflows, so no moment may divide by it.
+        a, b = 3.28e-117, 1.49e-115
+        cov = covariance_blocks(TwoModeGaussian(a, b, gamma))
+        g = gamma.imag
+        assert cov.a_block[0, 0] == pytest.approx(1 / (2 * a), rel=1e-15)
+        assert cov.b_block[0, 0] == pytest.approx(1 / (2 * b), rel=1e-15)
+        assert cov.a_block[1, 1] == pytest.approx(a / 2 + g * g / (2 * b), rel=1e-15)
+        assert cov.b_block[1, 1] == pytest.approx(b / 2 + g * g / (2 * a), rel=1e-15)
+        assert cov.c_block[0, 1] == pytest.approx(-g / (2 * a), rel=1e-15)
+        assert cov.c_block[1, 0] == pytest.approx(-g / (2 * b), rel=1e-15)
+
+    def test_boundary_state_raises_range_error(self):
+        # Re(alpha)*Re(beta) - Re(gamma)^2 > 0 in floats, so the state is
+        # valid, but |kappa| rounds to 1 and X = Re(A)^-1/2 has no float value.
+        state = TwoModeGaussian(1.0292099090649256, 0.3806400175678625, 0.6259061254433378)
+        with pytest.raises(NumericRangeError, match="covariance is singular"):
+            covariance_blocks(state)
 
     def test_det_a_equals_det_b(self):
         rng = np.random.default_rng(11)

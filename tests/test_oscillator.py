@@ -4,12 +4,17 @@ import decimal
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncho import (
+    AsymptoticBounds,
+    CanonicalSystem,
     DomainError,
     GroundStateLambda,
     ModeSpectrum,
@@ -32,6 +37,23 @@ from ncho import (
 from support import fig1, random_params
 
 
+# Valid floats, the edges of each field's range and values beyond them.
+FIELD_VALUES = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.sampled_from([0, 0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, sys.float_info.max]),
+    st.floats(min_value=5e-324, max_value=sys.float_info.min, exclude_max=True),  # subnormal
+    st.integers(min_value=1, max_value=10**600),
+    st.integers(min_value=2**1024, max_value=10**600).map(lambda n: -n),
+)
+
+
+def field_is_valid(name, v) -> bool:
+    """The documented domain, read through exact int and float arithmetic."""
+    if isinstance(v, int) and abs(v) > sys.float_info.max:
+        return False
+    return (v >= 0 if name == "theta" else v > 0) and math.isfinite(v)
+
+
 class TestParams:
     def test_positivity_enforced(self):
         with pytest.raises(DomainError):
@@ -48,6 +70,34 @@ class TestParams:
         with pytest.raises(DomainError, match="theta must be nonnegative"):
             OscillatorParams._make([1.0, 1.0, 1.0, 1.0, math.nan])
         assert p._replace(theta=2.0) == fig1(2.0)
+
+    @pytest.mark.parametrize("field", range(5))
+    @pytest.mark.parametrize("huge", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"])
+    def test_int_beyond_the_float_range_is_a_domain_error(self, field, huge):
+        # math.isfinite cannot take these, and 10**5000 has too many digits
+        # to print.
+        values = [1, 1, 1, 1, 0]
+        values[field] = huge
+        name = OscillatorParams._fields[field]
+        with pytest.raises(DomainError, match=f"^{name} must be .* got an int beyond the float range$"):
+            OscillatorParams(*values)
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.tuples(*[FIELD_VALUES] * 5))
+    def test_accepts_exactly_the_valid_fields(self, values):
+        names = OscillatorParams._fields
+        bad = [name for name, v in zip(names, values) if not field_is_valid(name, v)]
+        if not bad:
+            p = OscillatorParams(*values)
+            assert p == values and all(a is b for a, b in zip(p, values))
+            return
+        name, v = bad[0], values[names.index(bad[0])]
+        huge = isinstance(v, int) and abs(v) > sys.float_info.max
+        shown = "an int beyond the float range" if huge else v
+        what = "nonnegative" if name == "theta" else "positive"
+        with pytest.raises(DomainError) as info:
+            OscillatorParams(*values)
+        assert str(info.value) == f"{name} must be {what} and finite, got {shown}"
 
     def test_fields_are_read_only(self):
         p = fig1(1.0)
@@ -233,6 +283,27 @@ class TestModeSpectrum:
             assert s.sigma1**2 + s.sigma2**2 == pytest.approx(s.b, rel=1e-10)
             assert s.sigma1**2 * s.sigma2**2 == pytest.approx(s.c, rel=1e-10)
             assert s.sigma1 >= s.sigma2 > 0
+
+
+class TestPositionalResults:
+    """The oscillator layer builds its results with tuple.__new__, by position."""
+
+    def test_fields_hold_their_quantities(self):
+        # Identities that the Fig. 1 values and the Vieta and Omega0 tests
+        # leave open; a swapped field fails one of them.
+        rng = np.random.default_rng(21)
+        for p in [fig1(0.0), fig1(1.0), *(random_params(rng) for _ in range(200))]:
+            canon, spec = bopp_shift(p), mode_spectrum(p)
+            lam, bounds = ground_state_lambda_closed(p, spec), asymptotic_bounds(p)
+            built = (
+                (canon, CanonicalSystem), (spec, ModeSpectrum),
+                (lam, GroundStateLambda), (bounds, AsymptoticBounds),
+            )
+            for value, cls in built:
+                assert type(value) is cls and cls(**value._asdict()) == value
+            assert canon.big_m2 * canon.omega2_sq == pytest.approx(2 * p.alpha2, rel=1e-14)
+            assert spec.d == pytest.approx((spec.sigma1**2 - spec.sigma2**2) ** 2, rel=1e-10)
+            assert bounds.e_f_bound == entanglement_of_formation(bounds.e_s_limit)[1]
 
 
 class TestEnergyLevels:
