@@ -19,7 +19,6 @@ from .gaussian import (
 from .oscillator import (
     AsymptoticBounds,
     CanonicalSystem,
-    GroundStateLambda,
     ModeSpectrum,
     OscillatorParams,
     anisotropy_ratio,
@@ -30,7 +29,6 @@ from .oscillator import (
     energy_level,
     entanglement_columns,
     es_closed_form,
-    ground_state_as_gaussian,
     ground_state_lambda_closed,
     mode_spectrum,
 )

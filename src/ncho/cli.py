@@ -158,7 +158,7 @@ def analyze_report(params: OscillatorParams) -> dict:
     """All analyze quantities as a flat, ordered mapping."""
     canon = oscillator.bopp_shift(params)
     spec = oscillator.mode_spectrum(params)
-    lam = oscillator.ground_state_lambda_closed(params, spec)
+    state = oscillator.ground_state_lambda_closed(params, spec)
     e_s = oscillator.es_closed_form(params)
     omega, e_f = gaussian.entanglement_of_formation(e_s)
     bounds = oscillator.asymptotic_bounds(params)
@@ -178,9 +178,9 @@ def analyze_report(params: OscillatorParams) -> dict:
         "sigma1": spec.sigma1,
         "sigma2": spec.sigma2,
         "e00": oscillator.energy_level(spec, 0, 0),
-        "lambda11": lam.lambda11,
-        "lambda22": lam.lambda22,
-        "lambda12_imag": lam.lambda12.imag,
+        "lambda11": state.alpha,
+        "lambda22": state.beta,
+        "lambda12_imag": state.gamma.imag,
         "r": oscillator.anisotropy_ratio(params),
         "e_s": e_s,
         "omega": omega,

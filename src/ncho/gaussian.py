@@ -8,7 +8,9 @@ in hbar = 1 oscillator units.  From these coefficients the module computes
 the 2x2 covariance blocks of both modes and their cross correlations, the
 Simon separability functional E_S, and the Entanglement of Formation E_F
 (in nats).  All functions are pure and all values are immutable after
-construction.
+construction.  The covariance blocks are 2x2 tuples of floats, and the
+2x2 algebra runs on plain floats: only ``formation_columns``, the array
+form of E_F, imports numpy.
 """
 
 from __future__ import annotations
@@ -62,21 +64,27 @@ class CovarianceBlocks(namedtuple("CovarianceBlocks", "a_block b_block c_block")
 
     ``a_block`` and ``b_block`` are the symmetric single-mode blocks
     [[<x^2>, <{x,p}/2>], [<{x,p}/2>, <p^2>]]; ``c_block`` holds the cross
-    moments [[<x1 x2>, <x1 p2>], [<x2 p1>, <p1 p2>]], each as a 2x2 float
-    array.
+    moments [[<x1 x2>, <x1 p2>], [<x2 p1>, <p1 p2>]], each as a 2x2 tuple
+    of float rows.  The constructor takes any 2x2 nested sequence of real
+    numbers, numpy arrays included.
     """
 
     __slots__ = ()
 
     def __new__(cls, a_block, b_block, c_block):
-        import numpy as np
+        from numbers import Real
 
         blocks = []
         for name, block in (("a_block", a_block), ("b_block", b_block), ("c_block", c_block)):
-            m = np.asarray(block, dtype=float)
-            if m.shape != (2, 2):
-                raise DomainError(f"{name} must be a 2x2 matrix, got shape {m.shape}")
-            blocks.append(m)
+            try:
+                (a, b), (c, d) = block
+            except (TypeError, ValueError):  # not iterable, or not 2x2
+                entries = ()
+            else:
+                entries = (a, b, c, d)
+            if not (entries and all(isinstance(v, Real) for v in entries)):
+                raise DomainError(f"{name} must be a 2x2 matrix of real numbers, got {block!r}")
+            blocks.append(((float(a), float(b)), (float(c), float(d))))
         return tuple.__new__(cls, blocks)
 
     _make = classmethod(lambda cls, values: cls(*values))  # checked, as above
@@ -93,8 +101,6 @@ def covariance_blocks(state: TwoModeGaussian) -> CovarianceBlocks:
     valid state, is never formed.  Raises ``NumericRangeError`` where
     |kappa| rounds to 1, which would make X singular.
     """
-    import numpy as np
-
     a1, a2 = state.alpha.real, state.alpha.imag
     b1, b2 = state.beta.real, state.beta.imag
     g1, g2 = state.gamma.real, state.gamma.imag
@@ -120,11 +126,11 @@ def covariance_blocks(state: TwoModeGaussian) -> CovarianceBlocks:
     p2p2 = b1 / 2 - (g2 * x1p2 + b2 * x2p2)
     p1p2 = g1 / 2 - (a2 * x1p2 + g2 * x2p2)
 
-    # 2x2 float arrays, which is all that CovarianceBlocks checks.
+    # Every entry is a float, which is all that CovarianceBlocks checks.
     return tuple.__new__(CovarianceBlocks, (
-        np.array([[x1x1, x1p1], [x1p1, p1p1]], dtype=float),
-        np.array([[x2x2, x2p2], [x2p2, p2p2]], dtype=float),
-        np.array([[x1x2, x1p2], [x2p1, p1p2]], dtype=float),
+        ((x1x1, x1p1), (x1p1, p1p1)),
+        ((x2x2, x2p2), (x2p2, p2p2)),
+        ((x1x2, x1p2), (x2p1, p1p2)),
     ))
 
 
@@ -132,21 +138,28 @@ def simon_es(cov: CovarianceBlocks) -> float:
     """Simon separability functional from the covariance blocks.
 
     E_S = det A * det B + (1/4 - |det C|)^2 - tr(A J C J B J C^T J)
-          - (det A + det B)/4.
+          - (det A + det B)/4,
 
-    E_S >= 0 is necessary and sufficient for separability of a bipartite
-    Gaussian state; E_S < 0 means entanglement.
+    with J = [[0, 1], [-1, 0]].  J C J = -adj(C)^T and J C^T J = -adj(C),
+    so the trace is tr(A adj(C)^T B adj(C)), with adj(C) = [[c22, -c12],
+    [-c21, c11]].  E_S >= 0 is necessary and sufficient for separability of
+    a bipartite Gaussian state; E_S < 0 means entanglement.  Raises
+    ``NumericRangeError`` where E_S is not finite.
     """
-    import numpy as np
-
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])  # 2x2 symplectic unit
-    a, b, c = cov.a_block, cov.b_block, cov.c_block
-    det_a = float(np.linalg.det(a))
-    det_b = float(np.linalg.det(b))
-    det_c = float(np.linalg.det(c))
-    tr = float(np.trace(a @ j @ c @ j @ b @ j @ c.T @ j))
-    q = 0.25 - abs(det_c)
-    e_s = det_a * det_b + q * q - tr - 0.25 * (det_a + det_b)  # q * q: inf, not OverflowError
+    (a11, a12), (a21, a22) = cov.a_block
+    (b11, b12), (b21, b22) = cov.b_block
+    (c11, c12), (c21, c22) = cov.c_block
+    det_a = a11 * a22 - a12 * a21
+    det_b = b11 * b22 - b12 * b21
+    det_c = c11 * c22 - c12 * c21
+    # P = A adj(C)^T and Q = B adj(C); the trace is tr(P Q).
+    p11, p12 = a11 * c22 - a12 * c12, a12 * c11 - a11 * c21
+    p21, p22 = a21 * c22 - a22 * c12, a22 * c11 - a21 * c21
+    q11, q12 = b11 * c22 - b12 * c21, b12 * c11 - b11 * c12
+    q21, q22 = b21 * c22 - b22 * c21, b22 * c11 - b21 * c12
+    tr = p11 * q11 + p12 * q21 + p21 * q12 + p22 * q22
+    s = 0.25 - abs(det_c)
+    e_s = det_a * det_b + s * s - tr - 0.25 * (det_a + det_b)  # s * s: inf, not OverflowError
     if not math.isfinite(e_s):
         raise NumericRangeError("Simon functional overflowed; covariance entries too large")
     return e_s

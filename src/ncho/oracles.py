@@ -10,13 +10,15 @@ without sharing code paths with them:
 * trapezoidal sums of the two-mode Gaussian second moments, with the
   Gaussian's exact derivatives, against the closed-form covariance entries.
 
-Both grid oracles work on states whose |psi| separates (the cross
-coefficient is purely imaginary, as in every closed-form ground state),
-in factored form with O(N) memory; any other state raises ``DomainError``.
-The moment sums size each axis from the width of its own factor of
-|psi|^2.  ``run_validation`` bundles the oracles on the default grid,
-together with a two-path agreement check of the Simon functional, into a
-single report.
+Both grid oracles take the state as a ``TwoModeGaussian`` and work on
+states whose |psi| separates (the cross coefficient gamma is purely
+imaginary, as in every closed-form ground state), in factored form with
+O(N) memory; any other state raises ``DomainError``.  The moment sums
+size each axis from the width of its own factor of |psi|^2.  numpy forms
+only the axis sums: the 2x2 step from them to the moments, and their
+comparison with the closed form, run on plain floats.  ``run_validation``
+bundles the oracles on the default grid, together with a two-path
+agreement check of the Simon functional, into a single report.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from . import gaussian, oscillator
 from .errors import DomainError, GridConfigurationError, NumericRangeError
 from .gaussian import TwoModeGaussian
-from .oscillator import GroundStateLambda, ModeSpectrum, OscillatorParams
+from .oscillator import ModeSpectrum, OscillatorParams
 
 MIN_POINTS_PER_AXIS = 33
 MIN_RESIDUAL_EXTENT = 6.0
@@ -139,68 +141,68 @@ def eigen_max_err(numeric: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(numeric - expected) / np.abs(expected)))
 
 
-def _shift_factors(lam_kk: float, lam12: complex, x: np.ndarray, h: float):
-    """One axis's factors of psi = exp(-lam_kk x^2/2) * ... * exp(-lam12 x1 x2).
+def _shift_factors(coeff: complex, gamma: complex, x: np.ndarray, h: float):
+    """One axis's factors of psi = exp(-coeff x^2/2) * ... * exp(-gamma x1 x2).
 
     In order: the envelope at the next and the previous point (0 off the
-    grid, the stencil's zero padding), at x, and at x times exp(-+ lam12 h x)
+    grid, the stencil's zero padding), at x, and at x times exp(-+ gamma h x)
     (the cross term as the other coordinate steps +-h).  Each is one exp of
-    its whole exponent, so none exceeds 1.
+    its whole exponent, so none exceeds 1 in modulus.
     """
-    own, cross = -0.5 * lam_kk * x * x, lam12 * h * x
+    own, cross = -0.5 * coeff * x * x, gamma * h * x
     envelope = np.exp(own)
     nxt, prv = np.append(envelope[1:], 0.0), np.append(0.0, envelope[:-1])
     return nxt, prv, envelope, np.exp(own - cross), np.exp(own + cross)
 
 
-def _require_separable(cross: complex, name: str) -> None:
-    """The grid oracles factor |psi|, which needs a purely imaginary cross coefficient."""
-    if cross.real != 0:
+def _require_separable(state: TwoModeGaussian) -> None:
+    """The grid oracles factor |psi|, which needs a purely imaginary gamma."""
+    if state.gamma.real != 0:
         raise DomainError(
-            f"Re({name}) = {cross.real} != 0: |psi| does not separate, and no "
+            f"Re(gamma) = {state.gamma.real} != 0: |psi| does not separate, and no "
             "closed-form ground state has such a cross coefficient"
         )
 
 
-def _residual_axis(lam: GroundStateLambda, grid: GridSpec) -> tuple[np.ndarray, float]:
+def _residual_axis(state: TwoModeGaussian, grid: GridSpec) -> tuple[np.ndarray, float]:
     """The residual's grid axis, in lengths of the state's widest diagonal envelope."""
-    _require_separable(lam.lambda12, "lambda12")
+    _require_separable(state)
     if grid.extent < MIN_RESIDUAL_EXTENT:
         raise GridConfigurationError(
             f"grid extent must be >= {MIN_RESIDUAL_EXTENT} characteristic lengths "
             f"for a trustworthy residual, got {grid.extent}"
         )
-    return grid.axis(1.0 / math.sqrt(min(lam.lambda11, lam.lambda22)))
+    return grid.axis(1.0 / math.sqrt(min(state.alpha.real, state.beta.real)))
 
 
-def schrodinger_residual(params: OscillatorParams, lam: GroundStateLambda, grid: GridSpec) -> float:
-    """Relative L2 residual of (H - E00) psi00 on the grid.
+def schrodinger_residual(params: OscillatorParams, state: TwoModeGaussian, grid: GridSpec) -> float:
+    """Relative L2 residual of (H - E00) psi on the grid, for a candidate ground state psi.
 
     The canonical Hamiltonian (kinetic terms, quadratic potential and the
     theta cross term with x*d/dx structure) is discretized with
     second-order central differences on zero-padded samples; the residual
     therefore converges as O(h^2) under grid refinement for the true
     ground state.  The stencil is evaluated exactly through psi's shift
-    factors, not on sampled psi: psi at x +- h e_k is exp(-lam12 x1 x2)
+    factors, not on sampled psi: psi at x +- h e_k is exp(-gamma x1 x2)
     times a row and a column factor (``_shift_factors``), so (H - E00) psi
-    is exp(-lam12 x1 x2) times one (N x 6) by (6 x N) product.  With
-    Re lam12 = 0, as for every closed-form ground state, |exp(-lam12 x1 x2)|
+    is exp(-gamma x1 x2) times one (N x 6) by (6 x N) product.  With
+    Re gamma = 0, as for every closed-form ground state, |exp(-gamma x1 x2)|
     = 1, so no N x N array is formed: the product's Frobenius norm is that
     of the 6 x 6 product of the two factors' thin-QR triangles (the unitary
     factors drop out), and |psi|'s norm is a product of two axis sums, O(N)
     memory and two (N x 6) QRs.
 
-    Raises ``DomainError`` where Re lam12 != 0, and
+    Raises ``DomainError`` where Re gamma != 0, and
     ``GridConfigurationError`` where the grid is too narrow or psi
     underflows to 0 at every grid point.
     """
-    x, h = _residual_axis(lam, grid)
+    x, h = _residual_axis(state, grid)
     canon = oscillator.bopp_shift(params)
     spec = oscillator.mode_spectrum(params)
     e00 = 0.5 * (spec.sigma1 + spec.sigma2)
 
-    nxt1, prv1, own1, plus1, minus1 = _shift_factors(lam.lambda11, lam.lambda12, x, h)
-    nxt2, prv2, own2, plus2, minus2 = _shift_factors(lam.lambda22, lam.lambda12, x, h)
+    nxt1, prv1, own1, plus1, minus1 = _shift_factors(state.alpha, state.gamma, x, h)
+    nxt2, prv2, own2, plus2, minus2 = _shift_factors(state.beta, state.gamma, x, h)
     kin1, kin2 = -0.5 / (canon.big_m1 * h * h), -0.5 / (canon.big_m2 * h * h)
     # -theta*(a1 x1 p2 - a2 x2 p1) with p = -i d/dx
     drift1 = 0.5j * params.theta * params.alpha1 / h * x
@@ -217,7 +219,7 @@ def schrodinger_residual(params: OscillatorParams, lam: GroundStateLambda, grid:
     # rows = Q1 T1 and cols^T = Q2 T2, so |rows @ cols|_F = |T1 T2^T|_F.
     core = np.linalg.qr(rows, mode="r") @ np.linalg.qr(cols.T, mode="r").T
     residual_sq = np.vdot(core, core).real
-    psi_norm_sq = (own1 @ own1) * (own2 @ own2)
+    psi_norm_sq = np.vdot(own1, own1).real * np.vdot(own2, own2).real
     if not psi_norm_sq > 0:
         raise GridConfigurationError(
             f"psi underflows to 0 at every point of the {grid.points_per_axis}-point grid"
@@ -243,37 +245,41 @@ def gaussian_moment_quadrature(state: TwoModeGaussian, grid: GridSpec) -> gaussi
     of a Gaussian converge exponentially.  Raises ``DomainError`` where
     Re(gamma) != 0.
     """
-    _require_separable(state.gamma, "gamma")
+    _require_separable(state)
     sums = []  # sum x^a exp(-Re(A_kk) x^2) for a = 0, 1, 2, per axis
     for coeff in (state.alpha.real, state.beta.real):
         x, _ = grid.axis(1.0 / math.sqrt(coeff))
         w = np.exp(-coeff * x * x)
-        sums.append((w.sum(), x @ w, (x * x) @ w))
-    s = np.outer(*sums)  # s[a, b] = sum x1^a x2^b |psi|^2
-    pos = np.array([[s[2, 0], s[1, 1]], [s[1, 1], s[0, 2]]]) / s[0, 0]
-    a = np.array([[state.alpha, state.gamma], [state.gamma, state.beta]])
-    mom = (a.conj() @ pos @ a).real
-    mixed = -pos @ a.imag  # mixed[j, k] = <{x_j, p_k}>/2
-    # 2x2 float arrays, which is all that CovarianceBlocks checks.
+        sums.append((float(w.sum()), float(x @ w), float((x * x) @ w)))
+    # The rest is 2x2 algebra on plain floats; S_ab = u_a v_b.
+    (u0, u1, u2), (v0, v1, v2) = sums
+    s00 = u0 * v0
+    pos = ((u2 * v0 / s00, u1 * v1 / s00), (u1 * v1 / s00, u0 * v2 / s00))
+    a = ((state.alpha, state.gamma), (state.gamma, state.beta))
+    r = (0, 1)
+    xa = [[pos[j][0] * a[0][k] + pos[j][1] * a[1][k] for k in r] for j in r]  # X A, complex
+    mom = [
+        [(a[j][0].conjugate() * xa[0][k] + a[j][1].conjugate() * xa[1][k]).real for k in r]
+        for j in r
+    ]
+    mixed = [[-v.imag for v in row] for row in xa]  # mixed[j][k] = <{x_j, p_k}>/2; X is real
+    # Every entry is a float, which is all that CovarianceBlocks checks.
     return tuple.__new__(gaussian.CovarianceBlocks, (
-        np.array([[pos[0, 0], mixed[0, 0]], [mixed[0, 0], mom[0, 0]]]),
-        np.array([[pos[1, 1], mixed[1, 1]], [mixed[1, 1], mom[1, 1]]]),
-        np.array([[pos[0, 1], mixed[0, 1]], [mixed[1, 0], mom[0, 1]]]),
+        ((pos[0][0], mixed[0][0]), (mixed[0][0], mom[0][0])),
+        ((pos[1][1], mixed[1][1]), (mixed[1][1], mom[1][1])),
+        ((pos[0][1], mixed[0][1]), (mixed[1][0], mom[0][1])),
     ))
 
 
 def moment_max_err(closed: gaussian.CovarianceBlocks, quad: gaussian.CovarianceBlocks) -> float:
-    """Worst relative error of the quadrature moments, floored at 1e-3 of the largest."""
-    worst = 0.0
-    scale = max(
-        np.abs(closed.a_block).max(), np.abs(closed.b_block).max(), np.abs(closed.c_block).max()
-    )
-    for name in ("a_block", "b_block", "c_block"):
-        a = getattr(closed, name)
-        b = getattr(quad, name)
-        err = np.abs(a - b) / np.maximum(np.abs(a), 1e-3 * scale)
-        worst = max(worst, float(err.max()))
-    return worst
+    """Worst relative error of the quadrature moments, floored at 1e-3 of the largest.
+
+    NaN where an entry of either side is NaN, which ``max`` alone would drop.
+    """
+    c, q = ([v for block in blocks for row in block for v in row] for blocks in (closed, quad))
+    floor = 1e-3 * max(map(abs, c))
+    errs = [abs(a - b) / max(floor, abs(a)) for a, b in zip(c, q)]  # a NaN floor stays first
+    return math.nan if any(map(math.isnan, errs)) else max(errs)
 
 
 def run_validation(params: OscillatorParams) -> ValidationReport:
@@ -288,15 +294,14 @@ def run_validation(params: OscillatorParams) -> ValidationReport:
     # at least 1 and the residual cannot raise GridConfigurationError.
     grid = GridSpec()
     spec = oscillator.mode_spectrum(params)
-    lam = oscillator.ground_state_lambda_closed(params, spec)
-    state = oscillator.ground_state_as_gaussian(lam)
+    state = oscillator.ground_state_lambda_closed(params, spec)
 
     # Inputs far from unit scale can overflow or underflow inside numpy;
     # the finiteness check below reports that once, for every check.
     with np.errstate(all="ignore"):
         evals = numeric_eigenvalues(oscillator.build_omega_matrix(params))
         eigen_residual = eigen_max_err(evals, expected_eigenvalues(spec))
-        schrod = schrodinger_residual(params, lam, grid)
+        schrod = schrodinger_residual(params, state, grid)
 
         closed_cov = gaussian.covariance_blocks(state)
         quad_cov = gaussian_moment_quadrature(state, grid)

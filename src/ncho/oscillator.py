@@ -93,26 +93,6 @@ ModeSpectrum = namedtuple("ModeSpectrum", "b c d sigma1 sigma2")
 ModeSpectrum.__doc__ = "Characteristic quartic lambda^4 + b*lambda^2 + c and its mode frequencies."
 
 
-class GroundStateLambda(namedtuple("GroundStateLambda", "lambda11 lambda22 lambda12")):
-    """Exponent matrix of the ground state, psi00 ~ exp(-x^T Lambda x / 2).
-
-    The diagonal entries are real and positive; the off-diagonal entry is
-    purely imaginary and carries all the entanglement.
-    lambda21 equals lambda12.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, lambda11, lambda22, lambda12):
-        if not (lambda11 > 0 and lambda22 > 0):
-            raise DomainError(
-                f"diagonal exponent coefficients must be positive, got ({lambda11}, {lambda22})"
-            )
-        return tuple.__new__(cls, (lambda11, lambda22, lambda12))
-
-    _make = classmethod(lambda cls, values: cls(*values))  # checked, as above
-
-
 AsymptoticBounds = namedtuple("AsymptoticBounds", "e_s_limit omega0 e_f_bound")
 AsymptoticBounds.__doc__ = "theta -> infinity limits: E_S limit, Omega bound and the E_F bound."
 
@@ -268,8 +248,12 @@ def energy_level(spectrum: ModeSpectrum, n1: int, n2: int) -> float:
 
 def ground_state_lambda_closed(
     params: OscillatorParams, spectrum: ModeSpectrum
-) -> GroundStateLambda:
-    """Ground-state exponent matrix in closed form.
+) -> TwoModeGaussian:
+    """The ground state psi00 ~ exp(-x^T Lambda x / 2), Lambda in closed form.
+
+    The result is the ``TwoModeGaussian`` with alpha = L11, beta = L22 and
+    gamma = L12 = L21: L11 and L22 are real and positive, and L12 is purely
+    imaginary and carries all the entanglement.
 
     Using the positive factors c1, c2 of the quartic constant
     (sigma1*sigma2 = sqrt(c1*c2)), the printed expressions
@@ -313,17 +297,9 @@ def ground_state_lambda_closed(
     # The + 0.0 turns -0.0 (theta = 0 with y < x) into 0.0: under C99
     # mixed-mode rules 2j * -0.0 has the imaginary part -0.0.
     lam12 = 2j * ((y - x) / (x + y) * cross + 0.0)
-    # The range check above is the one GroundStateLambda's constructor makes.
-    return tuple.__new__(GroundStateLambda, (lam11, lam22, lam12))
-
-
-def ground_state_as_gaussian(lam: GroundStateLambda) -> TwoModeGaussian:
-    """Map the exponent matrix onto the two-mode Gaussian coefficients.
-
-    alpha = Lambda11, beta = Lambda22 and gamma = Lambda12 (the cross term
-    of psi00 is (Lambda12 + Lambda21) x1 x2 = 2*Lambda12 x1 x2).
-    """
-    return TwoModeGaussian(lam.lambda11, lam.lambda22, lam.lambda12)
+    # The range check above gives Re alpha > 0 and Re beta > 0, and gamma =
+    # 2j * (finite real) has Re gamma = 0: all that TwoModeGaussian checks.
+    return tuple.__new__(TwoModeGaussian, (lam11, lam22, lam12))
 
 
 def _simon(m1, m2, alpha1, alpha2, theta, xp):

@@ -17,7 +17,6 @@ from ncho import (
     covariance_blocks,
     entanglement_of_formation,
     es_closed_form,
-    ground_state_as_gaussian,
     ground_state_lambda_closed,
     mode_spectrum,
     numeric_eigenvalues,
@@ -33,8 +32,8 @@ def report(number: int, label: str, ok: bool) -> None:
     assert ok, f"acceptance criterion {number} ({label}) failed"
 
 
-def pipeline_es(lam) -> float:
-    return simon_es(covariance_blocks(ground_state_as_gaussian(lam)))
+def pipeline_es(state) -> float:
+    return simon_es(covariance_blocks(state))
 
 
 def test_01_two_path_es_agreement():
@@ -134,10 +133,10 @@ def test_05_spectrum_oracle():
 
 def test_06_ground_state_residual():
     p = fig1(1.0)
-    lam = ground_state_lambda_closed(p, mode_spectrum(p))
+    state = ground_state_lambda_closed(p, mode_spectrum(p))
     start = time.perf_counter()
     residuals = [
-        schrodinger_residual(p, lam, GridSpec(extent=6.0, points_per_axis=n))
+        schrodinger_residual(p, state, GridSpec(extent=6.0, points_per_axis=n))
         for n in (65, 129, 257)
     ]
     elapsed = time.perf_counter() - start
@@ -164,8 +163,8 @@ def test_08_isotropic_null_result():
     for m, a in ((1.0, 3.0), (2.5, 0.7), (0.4, 9.0)):
         for theta in (0.1, 1.0, 10.0):
             p = OscillatorParams(m, m, a, a, theta)
-            lam = ground_state_lambda_closed(p, mode_spectrum(p))
-            ok = ok and abs(lam.lambda12) < 1e-14 * lam.lambda11
+            state = ground_state_lambda_closed(p, mode_spectrum(p))
+            ok = ok and abs(state.gamma) < 1e-14 * state.alpha
             e_f = entanglement_of_formation(es_closed_form(p))[1]
             ok = ok and abs(e_f) < 1e-14
     report(8, "isotropic case stays unentangled", ok)

@@ -583,15 +583,22 @@ class TestPlumbing:
         proc = cold("import ncho, sys; assert 'numpy.fft' not in sys.modules")
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    @pytest.mark.parametrize("command", ["analyze", "spectrum", "library"])
     def test_cold_path_leaves_numpy_unloaded(self, command):
         # dataclasses would bring inspect, ast, dis and tokenize with it.
+        # "library" runs the Fig. 1 ground state -> covariance -> E_S chain.
         check = (
             "import sys, ncho\n"
             "unwanted = {'numpy', 'dataclasses', 'inspect'}\n"
             "assert not unwanted & set(sys.modules), 'import ncho'\n"
-            "from ncho import cli\n"
-            "assert cli.main(sys.argv[1:]) == 0\n"
+            "if sys.argv[1] == 'library':\n"
+            "    p = ncho.OscillatorParams(1, 1, 5, 10, 1)\n"
+            "    state = ncho.ground_state_lambda_closed(p, ncho.mode_spectrum(p))\n"
+            "    e_s = ncho.simon_es(ncho.covariance_blocks(state))\n"
+            "    assert abs(e_s - ncho.es_closed_form(p)) < 1e-12 * abs(e_s), e_s\n"
+            "else:\n"
+            "    from ncho import cli\n"
+            "    assert cli.main(sys.argv[1:]) == 0\n"
             "assert not unwanted & set(sys.modules), (sys.argv[1], unwanted & set(sys.modules))\n"
         )
         proc = cold(check, command, *FIG1_FLAGS, "--theta", "1")

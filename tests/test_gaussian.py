@@ -50,8 +50,8 @@ class TestCovarianceBlocks:
     def test_pure_imaginary_cross_coefficient(self):
         g = 0.3
         cov = covariance_blocks(TwoModeGaussian(1, 1, 1j * g))
-        assert cov.a_block[0, 0] == pytest.approx(0.5)
-        assert cov.c_block[0, 0] == 0  # <x1 x2> vanishes with Re(gamma) = 0
+        assert cov.a_block[0][0] == pytest.approx(0.5)
+        assert cov.c_block[0][0] == 0  # <x1 x2> vanishes with Re(gamma) = 0
         assert np.linalg.det(cov.c_block) == pytest.approx(-g * g / 4, rel=1e-13)
 
     @pytest.mark.parametrize("gamma", [0j, 4.1e-140j])
@@ -61,12 +61,12 @@ class TestCovarianceBlocks:
         a, b = 3.28e-117, 1.49e-115
         cov = covariance_blocks(TwoModeGaussian(a, b, gamma))
         g = gamma.imag
-        assert cov.a_block[0, 0] == pytest.approx(1 / (2 * a), rel=1e-15)
-        assert cov.b_block[0, 0] == pytest.approx(1 / (2 * b), rel=1e-15)
-        assert cov.a_block[1, 1] == pytest.approx(a / 2 + g * g / (2 * b), rel=1e-15)
-        assert cov.b_block[1, 1] == pytest.approx(b / 2 + g * g / (2 * a), rel=1e-15)
-        assert cov.c_block[0, 1] == pytest.approx(-g / (2 * a), rel=1e-15)
-        assert cov.c_block[1, 0] == pytest.approx(-g / (2 * b), rel=1e-15)
+        assert cov.a_block[0][0] == pytest.approx(1 / (2 * a), rel=1e-15)
+        assert cov.b_block[0][0] == pytest.approx(1 / (2 * b), rel=1e-15)
+        assert cov.a_block[1][1] == pytest.approx(a / 2 + g * g / (2 * b), rel=1e-15)
+        assert cov.b_block[1][1] == pytest.approx(b / 2 + g * g / (2 * a), rel=1e-15)
+        assert cov.c_block[0][1] == pytest.approx(-g / (2 * a), rel=1e-15)
+        assert cov.c_block[1][0] == pytest.approx(-g / (2 * b), rel=1e-15)
 
     def test_boundary_state_raises_range_error(self):
         # Re(alpha)*Re(beta) - Re(gamma)^2 > 0 in floats, so the state is
@@ -86,11 +86,37 @@ class TestCovarianceBlocks:
         with pytest.raises(DomainError):
             CovarianceBlocks(np.eye(3), np.eye(2), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "block",
+        [
+            np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 1)), [[0, 0], [0]], [[0, 0]], 0.5, None,
+            [[1j, 0], [0, 1]], np.array([[1, 0], [0, 1j]]), [["1", 0], [0, 1]], "ab",
+        ],
+        ids=[
+            "vector", "2x3", "2x2x1", "ragged", "one-row", "scalar", "none",
+            "complex", "complex-array", "string-entry", "string",
+        ],
+    )
+    def test_non_2x2_or_non_real_block_rejected(self, block):
+        with pytest.raises(DomainError, match="b_block must be a 2x2 matrix of real numbers"):
+            CovarianceBlocks(np.eye(2), block, np.zeros((2, 2)))
+
+    def test_entries_are_float_tuples(self):
+        built = CovarianceBlocks(
+            np.eye(2), [[1, np.int64(2)], (np.float32(0.25), True)], ((0.5, 0), (0, 0.5))
+        )
+        assert built.b_block == ((1.0, 2.0), (0.25, 1.0))
+        for cov in (covariance_blocks(TwoModeGaussian(1, 2 + 1j, 0.3 + 0.2j)), built):
+            for block in cov:
+                assert type(block) is tuple and len(block) == 2
+                assert all(type(row) is tuple and len(row) == 2 for row in block)
+                assert all(type(v) is float for row in block for v in row)
+
     def test_replace_is_checked(self):
         cov = covariance_blocks(TwoModeGaussian(1, 1, 0))
         with pytest.raises(DomainError, match="c_block"):
             cov._replace(c_block=np.zeros(3))
-        assert cov._replace(c_block=[[0, 0], [0, 0]]).c_block.dtype == float
+        assert cov._replace(c_block=[[0, 0], [0, 0]]).c_block == ((0.0, 0.0), (0.0, 0.0))
 
 
 class TestSimonFunctional:
@@ -121,6 +147,28 @@ class TestSimonFunctional:
                 assert via_matrix == pytest.approx(closed, abs=1e-14)
             else:
                 assert via_matrix == pytest.approx(closed, rel=1e-10)
+
+    def test_general_blocks_match_the_determinant_identity(self):
+        # For V = [[A, C], [C^T, B]], Simon's functional equals
+        # det V + 1/16 - |det C|/2 - (det A + det B)/4.  Random SPD V have a
+        # nonsymmetric C, which covariance_blocks of a pure state never gives.
+        # Both sides round at the size of det A det B >= det V.
+        rng = np.random.default_rng(19)
+        for _ in range(2000):
+            m = rng.normal(size=(4, 4))
+            v = m @ m.T + 0.1 * np.eye(4)
+            a, b, c = v[:2, :2], v[2:, 2:], v[:2, 2:]
+            det_a, det_b = np.linalg.det(a), np.linalg.det(b)
+            identity = np.linalg.det(v) + 1 / 16 - abs(np.linalg.det(c)) / 2 - (det_a + det_b) / 4
+            assert abs(simon_es(CovarianceBlocks(a, b, c)) - identity) < 1e-13 * (1 + det_a * det_b)
+
+    @pytest.mark.parametrize("nu", [0.5, 0.75, 1.0, 2.5, 10.0])
+    def test_thermal_product(self, nu):
+        # A = B = nu I and C = 0: E_S = nu^4 + 1/16 - nu^2/2 = (nu^2 - 1/4)^2,
+        # exact in floats for these nu.
+        thermal = [[nu, 0], [0, nu]]
+        cov = CovarianceBlocks(thermal, thermal, [[0, 0], [0, 0]])
+        assert simon_es(cov) == (nu * nu - 0.25) ** 2
 
     def test_never_positive_and_zero_iff_uncoupled(self):
         rng = np.random.default_rng(13)

@@ -12,27 +12,27 @@ from ncho import (
     DomainError,
     GridConfigurationError,
     GridSpec,
-    GroundStateLambda,
+    NumericRangeError,
     OscillatorParams,
     TwoModeGaussian,
     bopp_shift,
     build_omega_matrix,
     covariance_blocks,
     gaussian_moment_quadrature,
-    ground_state_as_gaussian,
     ground_state_lambda_closed,
     mode_spectrum,
     numeric_eigenvalues,
     run_validation,
     schrodinger_residual,
 )
+from ncho import oracles
 from ncho.oracles import eigen_max_err, expected_eigenvalues, failing_checks, moment_max_err
 from support import fft_moment_quadrature, fig1, random_params
 
 UNIT = OscillatorParams(1, 1, 0.5, 0.5, 0)
 
 
-def unit_lambda():
+def unit_state():
     return ground_state_lambda_closed(UNIT, mode_spectrum(UNIT))
 
 
@@ -114,14 +114,13 @@ def _d2(f, h, axis):
     return np.moveaxis(d, 0, axis) / (h * h)
 
 
-def stencil_residual(params, lam, grid):
+def stencil_residual(params, state, grid):
     """The residual's definition: the stencil applied to the sampled psi."""
     canon = bopp_shift(params)
     spec = mode_spectrum(params)
-    x, h = grid.axis(1.0 / math.sqrt(min(lam.lambda11, lam.lambda22)))
+    x, h = grid.axis(1.0 / math.sqrt(min(state.alpha.real, state.beta.real)))
     x1, x2 = x[:, None], x[None, :]
-    l11, l22, l12 = lam.lambda11, lam.lambda22, lam.lambda12
-    psi = np.exp(-0.5 * (l11 * x1**2 + l22 * x2**2 + 2 * l12 * x1 * x2))
+    psi = np.exp(-0.5 * (state.alpha * x1**2 + state.beta * x2**2 + 2 * state.gamma * x1 * x2))
     h_psi = (
         -_d2(psi, h, 0) / (2 * canon.big_m1)
         - _d2(psi, h, 1) / (2 * canon.big_m2)
@@ -174,23 +173,23 @@ class TestSchrodingerResidual:
     )
     def test_matches_stencil_on_validation_box(self, grid):
         for p in validation_box_points(11, 6) + [OscillatorParams(1, 1, 5, 20, 1)]:
-            lam = ground_state_lambda_closed(p, mode_spectrum(p))
-            corrupted = GroundStateLambda(lam.lambda11, lam.lambda22, lam.lambda12 + 0.3j)
-            for state in (lam, corrupted):
+            closed = ground_state_lambda_closed(p, mode_spectrum(p))
+            corrupted = closed._replace(gamma=closed.gamma + 0.3j)
+            for state in (closed, corrupted):
                 assert schrodinger_residual(p, state, grid) == pytest.approx(
                     stencil_residual(p, state, grid), rel=1e-9
                 )
 
     def test_known_failing_point(self):
         p = OscillatorParams(1, 1, 5, 20, 1)
-        lam = ground_state_lambda_closed(p, mode_spectrum(p))
-        assert schrodinger_residual(p, lam, GridSpec()) == pytest.approx(0.0190693069559, rel=1e-9)
+        state = ground_state_lambda_closed(p, mode_spectrum(p))
+        assert schrodinger_residual(p, state, GridSpec()) == pytest.approx(0.0190693069559, rel=1e-9)
 
     @pytest.mark.parametrize(
         "lam",
-        [GroundStateLambda(r, 1.0, 0.5j) for r in STIFF_RATIOS]
-        + [GroundStateLambda(1.0, r, 0.5j) for r in STIFF_RATIOS]
-        + [GroundStateLambda(1e4, 1.0, 50j), GroundStateLambda(1.0, 1e3, 20j)],
+        [TwoModeGaussian(r, 1.0, 0.5j) for r in STIFF_RATIOS]
+        + [TwoModeGaussian(1.0, r, 0.5j) for r in STIFF_RATIOS]
+        + [TwoModeGaussian(1e4, 1.0, 50j), TwoModeGaussian(1.0, 1e3, 20j)],
     )
     def test_stiff_states_stay_finite(self, lam):
         # A ratio of psi's shifts overflows from a diagonal ratio of 2e3 on;
@@ -200,14 +199,22 @@ class TestSchrodingerResidual:
         assert math.isfinite(r)
         assert r == pytest.approx(stencil_residual(p, lam, GridSpec()), rel=1e-9)
 
+    def test_complex_diagonal_matches_stencil(self):
+        # Im(alpha) and Im(beta) make the envelopes complex; |psi| still
+        # separates, and its norm is that of |psi|, not of psi^2.
+        p = fig1(1.0)
+        state = TwoModeGaussian(3 + 2j, 4 - 1j, 0.5j)
+        r = schrodinger_residual(p, state, GridSpec())
+        assert r == pytest.approx(stencil_residual(p, state, GridSpec()), rel=1e-9)
+
     def test_memory_stays_below_a_grid_stencil(self):
         # The sampled stencil peaks at 5.4 MB on the default grid.
         p = fig1(1.0)
-        lam = ground_state_lambda_closed(p, mode_spectrum(p))
-        schrodinger_residual(p, lam, GridSpec())
+        state = ground_state_lambda_closed(p, mode_spectrum(p))
+        schrodinger_residual(p, state, GridSpec())
         tracemalloc.start()
         try:
-            schrodinger_residual(p, lam, GridSpec())
+            schrodinger_residual(p, state, GridSpec())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -217,20 +224,20 @@ class TestSchrodingerResidual:
         # Re(lambda12) = 0, so |psi| separates and the norms come from two
         # thin QRs: the peak stays below one 257^2 float64 grid.
         p = OscillatorParams(1, 1, 5, 20, 1)
-        lam = ground_state_lambda_closed(p, mode_spectrum(p))
-        assert lam.lambda12.real == 0
-        assert traced_peak(schrodinger_residual, p, lam, GridSpec()) < GRID_BYTES
+        state = ground_state_lambda_closed(p, mode_spectrum(p))
+        assert state.gamma.real == 0
+        assert traced_peak(schrodinger_residual, p, state, GridSpec()) < GRID_BYTES
 
     def test_cross_weighted_state_is_rejected(self):
         # |psi| does not separate where Re(lambda12) != 0, which no closed
         # form gives.  For some of these states the weight exp(-2 Re(lambda12)
         # x1 x2) leaves the float range on the default grid.
         p = fig1(1.0)
-        lam = ground_state_lambda_closed(p, mode_spectrum(p))
-        states = [GroundStateLambda(lam.lambda11, lam.lambda22, lam.lambda12 + 0.3)]
-        states += [GroundStateLambda(1.0, r, -0.3 + 0.5j) for r in STIFF_RATIOS]
-        states += [GroundStateLambda(1e4, 1.0, 50.0), GroundStateLambda(1.0, 1e3, 20 + 0.5j)]
-        states += [GroundStateLambda(1e6, 1.0, 500.0), GroundStateLambda(1.0, 1e6, -900 + 1j)]
+        closed = ground_state_lambda_closed(p, mode_spectrum(p))
+        states = [closed._replace(gamma=closed.gamma + 0.3)]
+        states += [TwoModeGaussian(1.0, r, -0.3 + 0.5j) for r in STIFF_RATIOS]
+        states += [TwoModeGaussian(1e4, 1.0, 50.0), TwoModeGaussian(1.0, 1e3, 20 + 0.5j)]
+        states += [TwoModeGaussian(1e6, 1.0, 500.0), TwoModeGaussian(1.0, 1e6, -900 + 1j)]
         for state in states:
             with pytest.raises(DomainError, match="does not separate"):
                 schrodinger_residual(p, state, GridSpec())
@@ -239,20 +246,20 @@ class TestSchrodingerResidual:
         # No point of the even 34-point grid is within reach of the narrow
         # envelope, so psi is 0 on the whole grid and has no norm to divide by.
         p = OscillatorParams(1, 1, 1, 160754694, 0)
-        lam = ground_state_lambda_closed(p, mode_spectrum(p))
+        state = ground_state_lambda_closed(p, mode_spectrum(p))
         with pytest.raises(GridConfigurationError, match="underflows to 0"):
-            schrodinger_residual(p, lam, GridSpec(8.0, 34))
+            schrodinger_residual(p, state, GridSpec(8.0, 34))
 
     def test_unit_oscillator_discretization_error(self):
-        r = schrodinger_residual(UNIT, unit_lambda(), GridSpec(8.0, 129))
+        r = schrodinger_residual(UNIT, unit_state(), GridSpec(8.0, 129))
         assert r == pytest.approx(0.002452080289814484, rel=1e-6)
-        r = schrodinger_residual(UNIT, unit_lambda(), GridSpec(8.0, 257))
+        r = schrodinger_residual(UNIT, unit_state(), GridSpec(8.0, 257))
         assert r == pytest.approx(0.0006140598809002348, rel=1e-6)
 
     def test_second_order_convergence(self):
-        lam = unit_lambda()
+        state = unit_state()
         residuals = [
-            schrodinger_residual(UNIT, lam, GridSpec(8.0, n)) for n in (65, 129, 257)
+            schrodinger_residual(UNIT, state, GridSpec(8.0, n)) for n in (65, 129, 257)
         ]
         # n = 65 -> 129 -> 257 halves the spacing each step
         orders = [math.log2(a / b) for a, b in zip(residuals, residuals[1:])]
@@ -261,25 +268,25 @@ class TestSchrodingerResidual:
 
     def test_fig1_residual(self):
         p = fig1(1.0)
-        lam = ground_state_lambda_closed(p, mode_spectrum(p))
-        r = schrodinger_residual(p, lam, GridSpec(8.0, 257))
+        state = ground_state_lambda_closed(p, mode_spectrum(p))
+        r = schrodinger_residual(p, state, GridSpec(8.0, 257))
         assert r == pytest.approx(0.008527317416928595, rel=1e-6)
 
     def test_detects_corrupted_state(self):
         p = fig1(1.0)
-        lam = ground_state_lambda_closed(p, mode_spectrum(p))
-        bad = GroundStateLambda(lam.lambda11 * 1.05, lam.lambda22, lam.lambda12)
-        good_r = schrodinger_residual(p, lam, GridSpec(8.0, 257))
+        state = ground_state_lambda_closed(p, mode_spectrum(p))
+        bad = state._replace(alpha=state.alpha * 1.05)
+        good_r = schrodinger_residual(p, state, GridSpec(8.0, 257))
         bad_r = schrodinger_residual(p, bad, GridSpec(8.0, 257))
         assert bad_r > 10 * good_r
 
     def test_narrow_extent_rejected(self):
         with pytest.raises(GridConfigurationError):
-            schrodinger_residual(UNIT, unit_lambda(), GridSpec(4.0, 257))
+            schrodinger_residual(UNIT, unit_state(), GridSpec(4.0, 257))
 
 
 def closed_state(p):
-    return ground_state_as_gaussian(ground_state_lambda_closed(p, mode_spectrum(p)))
+    return ground_state_lambda_closed(p, mode_spectrum(p))
 
 
 # The ten distinct second moments as (block, row, column).
@@ -291,9 +298,9 @@ TEN_MOMENTS = [
 class TestMomentQuadrature:
     def test_unit_product_state(self):
         cov = gaussian_moment_quadrature(TwoModeGaussian(1, 1, 0), GridSpec())
-        assert cov.a_block[0, 0] == pytest.approx(0.5, abs=1e-12)
-        assert cov.b_block[1, 1] == pytest.approx(0.5, abs=1e-12)
-        assert np.abs(cov.c_block).max() < 1e-12
+        assert cov.a_block[0][0] == pytest.approx(0.5, abs=1e-12)
+        assert cov.b_block[1][1] == pytest.approx(0.5, abs=1e-12)
+        assert max(abs(v) for row in cov.c_block for v in row) < 1e-12
 
     def test_imaginary_cross_coefficient(self):
         state = TwoModeGaussian(1, 1, 0.3j)
@@ -333,10 +340,10 @@ class TestMomentQuadrature:
         closed = covariance_blocks(state)
         assert moment_max_err(closed, quad) < 1e-12
         name, i, j = entry
-        wrong = {n: getattr(closed, n).copy() for n in ("a_block", "b_block", "c_block")}
-        wrong[name][i, j] *= 1 + 1e-6
+        wrong = {n: [list(row) for row in block] for n, block in closed._asdict().items()}
+        wrong[name][i][j] *= 1 + 1e-6
         if name != "c_block":
-            wrong[name][j, i] = wrong[name][i, j]
+            wrong[name][j][i] = wrong[name][i][j]
         assert moment_max_err(CovarianceBlocks(**wrong), quad) > 1e-7
 
     def test_moment_memory_stays_below_a_complex_grid(self):
@@ -383,13 +390,35 @@ class TestMomentQuadrature:
         quad = gaussian_moment_quadrature(state, grid)
         assert moment_max_err(closed, quad) < 1e-14
         for name in ("a_block", "b_block"):
-            assert getattr(quad, name)[0, 0] == pytest.approx(getattr(closed, name)[0, 0], rel=1e-14)
+            assert getattr(quad, name)[0][0] == pytest.approx(getattr(closed, name)[0][0], rel=1e-14)
 
     def test_strongly_anisotropic_state_resolved(self):
         # Only the O(h^2) Schrodinger residual fails.
         report = run_validation(OscillatorParams(1, 1, 5, 100, 1))
         assert report.moment_max_err < 1e-12
         assert failing_checks(report) == ["schrodinger_residual"]
+
+
+class TestMomentMaxErr:
+    @pytest.mark.parametrize("side", ["closed", "quad"])
+    @pytest.mark.parametrize("block", [0, 1, 2], ids=["a_block", "b_block", "c_block"])
+    def test_nan_in_any_block_reads_nan(self, side, block):
+        # max(0.0, nan) is 0.0, so a plain running maximum would pass this.
+        closed = covariance_blocks(closed_state(fig1(1.0)))
+        blocks = [[list(row) for row in b] for b in closed]
+        blocks[block][1][0] = math.nan
+        spoiled = CovarianceBlocks(*blocks)
+        pair = (spoiled, closed) if side == "closed" else (closed, spoiled)
+        assert math.isnan(moment_max_err(*pair))
+
+    def test_nan_quadrature_fails_validation(self, monkeypatch):
+        def spoiled_quadrature(state, grid):
+            a_block, b_block, _ = covariance_blocks(state)
+            return CovarianceBlocks(a_block, b_block, [[0.0, math.nan], [0.0, 0.0]])
+
+        monkeypatch.setattr(oracles, "gaussian_moment_quadrature", spoiled_quadrature)
+        with pytest.raises(NumericRangeError, match="not all finite"):
+            run_validation(fig1(1.0))
 
 
 class TestRunValidation:
@@ -408,18 +437,18 @@ class TestRunValidation:
         # The state run_validation would feed its residual check, with
         # Lambda11 off by 5 %: far above the check's threshold.
         p = fig1(1.0)
-        lam = ground_state_lambda_closed(p, mode_spectrum(p))
-        bad = GroundStateLambda(lam.lambda11 * 1.05, lam.lambda22, lam.lambda12)
+        state = ground_state_lambda_closed(p, mode_spectrum(p))
+        bad = state._replace(alpha=state.alpha * 1.05)
         assert schrodinger_residual(p, bad, GridSpec()) > 0.1
 
     def test_cross_weighted_lambda_rejected_by_the_oracles(self):
         p = fig1(1.0)
-        lam = ground_state_lambda_closed(p, mode_spectrum(p))
-        bad = GroundStateLambda(lam.lambda11, lam.lambda22, lam.lambda12 + 0.3)
-        with pytest.raises(DomainError, match="lambda12"):
+        state = ground_state_lambda_closed(p, mode_spectrum(p))
+        bad = state._replace(gamma=state.gamma + 0.3)
+        with pytest.raises(DomainError, match="Re\\(gamma\\)"):
             schrodinger_residual(p, bad, GridSpec())
         with pytest.raises(DomainError, match="does not separate"):
-            gaussian_moment_quadrature(ground_state_as_gaussian(bad), GridSpec())
+            gaussian_moment_quadrature(bad, GridSpec())
 
     def test_census_never_raises_and_moments_agree(self):
         # The census box: log-uniform masses and stiffnesses over 1e-2...1e2

@@ -16,10 +16,10 @@ from ncho import (
     AsymptoticBounds,
     CanonicalSystem,
     DomainError,
-    GroundStateLambda,
     ModeSpectrum,
     NumericRangeError,
     OscillatorParams,
+    TwoModeGaussian,
     anisotropy_ratio,
     asymptotic_bounds,
     bopp_shift,
@@ -29,7 +29,6 @@ from ncho import (
     energy_level,
     entanglement_of_formation,
     es_closed_form,
-    ground_state_as_gaussian,
     ground_state_lambda_closed,
     mode_spectrum,
     simon_es,
@@ -294,10 +293,10 @@ class TestPositionalResults:
         rng = np.random.default_rng(21)
         for p in [fig1(0.0), fig1(1.0), *(random_params(rng) for _ in range(200))]:
             canon, spec = bopp_shift(p), mode_spectrum(p)
-            lam, bounds = ground_state_lambda_closed(p, spec), asymptotic_bounds(p)
+            state, bounds = ground_state_lambda_closed(p, spec), asymptotic_bounds(p)
             built = (
                 (canon, CanonicalSystem), (spec, ModeSpectrum),
-                (lam, GroundStateLambda), (bounds, AsymptoticBounds),
+                (state, TwoModeGaussian), (bounds, AsymptoticBounds),
             )
             for value, cls in built:
                 assert type(value) is cls and cls(**value._asdict()) == value
@@ -336,15 +335,15 @@ class TestEnergyLevels:
 class TestGroundStateLambda:
     def test_commutative_widths(self):
         p = fig1(0.0)
-        lam = ground_state_lambda_closed(p, mode_spectrum(p))
-        assert lam.lambda11 == pytest.approx(math.sqrt(10), rel=1e-13)
-        assert lam.lambda22 == pytest.approx(math.sqrt(20), rel=1e-13)
-        assert lam.lambda12 == 0
+        state = ground_state_lambda_closed(p, mode_spectrum(p))
+        assert state.alpha == pytest.approx(math.sqrt(10), rel=1e-13)
+        assert state.beta == pytest.approx(math.sqrt(20), rel=1e-13)
+        assert state.gamma == 0
         # With alpha1/m1 > alpha2/m2 the cross term is 0.0 * (y - x); analyze
         # must print 0.0 there, not -0.0.
         swapped = OscillatorParams(1, 1, 10, 5, 0)
-        lam12 = ground_state_lambda_closed(swapped, mode_spectrum(swapped)).lambda12
-        assert lam12 == 0 and math.copysign(1.0, lam12.imag) == 1.0
+        gamma = ground_state_lambda_closed(swapped, mode_spectrum(swapped)).gamma
+        assert gamma == 0 and math.copysign(1.0, gamma.imag) == 1.0
 
     @pytest.mark.parametrize(
         "inputs",
@@ -365,8 +364,8 @@ class TestGroundStateLambda:
     def test_isotropic_cross_term_vanishes(self):
         for theta in (0.1, 1.0, 10.0):
             p = OscillatorParams(1, 1, 3, 3, theta)
-            lam = ground_state_lambda_closed(p, mode_spectrum(p))
-            assert lam.lambda12 == 0
+            state = ground_state_lambda_closed(p, mode_spectrum(p))
+            assert state.gamma == 0
 
     @pytest.mark.parametrize(
         "inputs, expected",
@@ -391,8 +390,8 @@ class TestGroundStateLambda:
     def test_extreme_scales_match_exact_arithmetic(self, inputs, expected):
         # The expected values come from 60-digit arithmetic.
         p = OscillatorParams(*inputs)
-        lam = ground_state_lambda_closed(p, mode_spectrum(p))
-        got = (lam.lambda11, lam.lambda22, lam.lambda12.imag)
+        state = ground_state_lambda_closed(p, mode_spectrum(p))
+        got = (state.alpha, state.beta, state.gamma.imag)
         assert got == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_closed_matches_printed_expressions(self):
@@ -421,46 +420,34 @@ class TestGroundStateLambda:
                 )
                 / den
             )
-            lam = ground_state_lambda_closed(p, s)
-            scale = max(lam.lambda11, lam.lambda22, abs(lam.lambda12))
-            assert abs(lam.lambda11 - l11) < 1e-9 * scale
-            assert abs(lam.lambda22 - l22) < 1e-9 * scale
-            assert abs(lam.lambda12 - l12) < 1e-9 * scale
+            state = ground_state_lambda_closed(p, s)
+            scale = max(state.alpha, state.beta, abs(state.gamma))
+            assert abs(state.alpha - l11) < 1e-9 * scale
+            assert abs(state.beta - l22) < 1e-9 * scale
+            assert abs(state.gamma - l12) < 1e-9 * scale
 
     def test_positivity_and_normalizability(self):
         rng = np.random.default_rng(9)
         for _ in range(300):
             p = random_params(rng)
-            lam = ground_state_lambda_closed(p, mode_spectrum(p))
-            assert lam.lambda11 > 0 and lam.lambda22 > 0
-            assert lam.lambda11 * lam.lambda22 - lam.lambda12.real**2 > 0
-
-    def test_invalid_diagonal_rejected(self):
-        with pytest.raises(DomainError):
-            GroundStateLambda(-1.0, 2.0, 0j)
-
-    def test_replace_is_checked(self):
-        with pytest.raises(DomainError):
-            GroundStateLambda(1.0, 2.0, 0j)._replace(lambda22=0.0)
+            state = ground_state_lambda_closed(p, mode_spectrum(p))
+            assert state.alpha > 0 and state.beta > 0
+            assert state.alpha * state.beta - state.gamma.real**2 > 0
 
 
 class TestGroundStateAsGaussian:
-    def test_separable_mapping(self):
-        state = ground_state_as_gaussian(GroundStateLambda(2.0, 3.0, 0j))
-        assert state.alpha == 2.0 and state.beta == 3.0 and state.gamma == 0
+    """ground_state_lambda_closed returns the state as a TwoModeGaussian."""
 
     def test_cross_coefficient_is_imaginary(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             p = random_params(rng, theta_low=0.05)
-            state = ground_state_as_gaussian(
-                ground_state_lambda_closed(p, mode_spectrum(p))
-            )
+            state = ground_state_lambda_closed(p, mode_spectrum(p))
             assert state.gamma.real == 0
 
     def test_pipeline_matches_closed_form(self):
         for p in (fig1(1.0), OscillatorParams(1, 2, 3, 3, 1)):
-            state = ground_state_as_gaussian(ground_state_lambda_closed(p, mode_spectrum(p)))
+            state = ground_state_lambda_closed(p, mode_spectrum(p))
             assert simon_es(covariance_blocks(state)) == pytest.approx(
                 es_closed_form(p), rel=1e-12
             )
