@@ -31,17 +31,19 @@ OMEGA_LIMIT_GUARD = 1e-15
 class TwoModeGaussian(namedtuple("TwoModeGaussian", "alpha beta gamma")):
     """Exponent coefficients of a normalized two-mode Gaussian.
 
-    Requires Re(alpha) > 0, Re(beta) > 0 and
-    Re(alpha)*Re(beta) - Re(gamma)^2 > 0 so the state is square
+    Requires finite real and imaginary parts, Re(alpha) > 0, Re(beta) > 0
+    and Re(alpha)*Re(beta) - Re(gamma)^2 > 0 so the state is square
     integrable.  Where Re(gamma) = 0, as for every closed-form ground
-    state, the first two imply the third, and the product, which can
-    underflow to 0 for a valid state, is not formed.
+    state, the second and third imply the fourth, and the product, which
+    can underflow to 0 for a valid state, is not formed.
     """
 
     __slots__ = ()
 
     def __new__(cls, alpha, beta, gamma):
         self = tuple.__new__(cls, (alpha, beta, gamma))
+        if not all(abs(v.real) < math.inf and abs(v.imag) < math.inf for v in self):
+            raise DomainError(f"coefficients must be finite, got {self}")
         if not (alpha.real > 0):
             raise DomainError(f"Re(alpha) > 0 violated: Re(alpha) = {alpha.real}")
         if not (beta.real > 0):

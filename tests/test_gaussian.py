@@ -38,6 +38,20 @@ class TestNormalization:
         with pytest.raises(DomainError, match="Re\\(alpha\\) > 0"):
             TwoModeGaussian._make([-1, 1, 0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    def test_non_finite_coefficient_rejected(self, name, part, bad):
+        # covariance_blocks read such a state as NaN blocks, which simon_es
+        # then called too large.
+        state = TwoModeGaussian(1.0 + 0.5j, 2.0 - 0.5j, 0.3j)
+        good = getattr(state, name)
+        value = complex(bad, good.imag) if part == "real" else complex(good.real, bad)
+        with pytest.raises(DomainError, match="must be finite"):
+            TwoModeGaussian(**{**state._asdict(), name: value})
+        with pytest.raises(DomainError, match="must be finite"):
+            state._replace(**{name: value})
+
 
 class TestCovarianceBlocks:
     def test_product_ground_state(self):

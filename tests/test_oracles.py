@@ -42,6 +42,17 @@ class TestGridSpec:
         assert x[0] == -4.0 and x[-1] == 4.0
         assert h == pytest.approx(8.0 / 32, rel=1e-15)
 
+    def test_axis_is_a_new_array_on_every_call(self):
+        # The unit axis is cached per grid; writing into a returned axis
+        # must not reach it, whatever the length.
+        grid = GridSpec()
+        for length in (1.0, 0.3):
+            x, _ = grid.axis(length)
+            x[:] = 0.0
+            y, h = grid.axis(length)
+            assert y[0] == -(8.0 * length) and y[-1] == 8.0 * length
+            assert np.array_equal(y, GridSpec().axis(length)[0]) and h == y[1] - y[0] > 0
+
     def test_too_few_points_rejected(self):
         with pytest.raises(GridConfigurationError):
             GridSpec(points_per_axis=16)
@@ -80,6 +91,28 @@ class TestNumericEigenvalues:
         np.testing.assert_allclose(
             numeric_eigenvalues(3.0 * om), 3.0 * numeric_eigenvalues(om), atol=1e-11
         )
+
+    def test_order_is_that_of_a_stable_sort(self):
+        # sorted() by (imag, real) is stable: tied eigenvalues, as the double
+        # +-i of UNIT, keep the order of eigvals.
+        rng = np.random.default_rng(21)
+        matrices = [rng.standard_normal((4, 4)) for _ in range(1000)]
+        matrices += [build_omega_matrix(UNIT), np.eye(4), np.diag([2.0, 1.0, 2.0, 1.0])]
+        for m in matrices:
+            by_key = sorted(np.linalg.eigvals(m), key=lambda z: (z.imag, z.real))
+            assert np.array_equal(numeric_eigenvalues(m), np.array(by_key))
+
+    @pytest.mark.parametrize(
+        "s1, s2", [(15.1, 0.93), (1.0, 1.0), (2.3908506818482156, 2.390850681848216)]
+    )
+    def test_expected_order_is_sorted(self, s1, s2):
+        # The last pair is mode_spectrum at a near-isotropic point with
+        # theta = 0, where sigma2 rounds to an ulp above sigma1.
+        spec = mode_spectrum(UNIT)._replace(sigma1=s1, sigma2=s2)
+        expected = expected_eigenvalues(spec)
+        by_key = sorted(expected, key=lambda z: (z.imag, z.real))
+        assert np.array_equal(expected, np.array(by_key))
+        assert sorted(abs(expected)) == [min(s1, s2)] * 2 + [max(s1, s2)] * 2
 
     def test_non_finite_rejected(self):
         bad = np.full((4, 4), np.nan)
@@ -429,6 +462,11 @@ class TestRunValidation:
         assert report.schrodinger_residual < 1e-2
         assert report.moment_max_err < 1e-10
         assert report.es_spread < 1e-12
+
+    def test_repeated_calls_agree(self):
+        # The default grid and its unit axis are shared by every call.
+        p = fig1(1.0)
+        assert run_validation(p) == run_validation(p)
 
     def test_commutative_passes(self):
         assert run_validation(fig1(0.0)).passed
