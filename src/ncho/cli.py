@@ -15,6 +15,7 @@ range), 4 I/O error, 5 validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -24,7 +25,7 @@ from .errors import DomainError, NchoError
 from .oscillator import OscillatorParams
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Iterable, Iterator
 
     import numpy as np
 
@@ -46,6 +47,80 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+@functools.cache
+def _g12_tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of ``_g12_csv``, built on its first call."""
+    import numpy as np
+
+    def words(chunks):  # byte strings as uint64 words, so the byte order plays no part
+        return np.frombuffer(b"".join(chunks), np.uint64)
+
+    def mask(p, nd):  # the digits and the point kept of nd significant digits
+        return b"".join((b"\xff" if i < max(nd, p + 1) else b"\0")
+                        + (b"\xff" if i == p < nd - 1 else b"\0") for i in range(12))
+
+    powers = np.array([float(f"1e{k}") for k in range(-300, 309)])  # correctly rounded
+    digits = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    quads = np.full((10**4, 8), ord("."), np.uint8)
+    quads[:, ::2] = digits + ord("0")
+    sig = ((digits > 0) * np.arange(1, 5)).max(axis=1).astype(np.uint8)  # without trailing zeros
+    sig = np.stack([sig, (sig + 4) * (sig > 0), (sig + 8) * (sig > 0)])
+    # One row per layout: scientific (point after d0), then fixed with e = -4..11.
+    masks = words(mask(p, nd) for p in [0, *range(-4, 12)] for nd in range(13))
+    lead = words((s + b"0.000"[:1 - e] * (-4 <= e < 0)).ljust(8, b"\0")
+                 for s in (b"", b"-") for e in range(-300, 301))
+    tail = words((b"e%+03d" % e * (not -4 <= e < 12)).ljust(8, b"\0") for e in range(-300, 301))
+    return powers, quads.view(np.uint64).ravel(), sig, masks.reshape(-1, 3).T.copy(), lead, tail
+
+
+def _g12_csv(table: np.ndarray) -> str:
+    """CSV rows of a 2-D float table, each value exactly as ``_fmt`` prints it.
+
+    Each value x gets e = floor(log10 |x|), exact or one too high, from its
+    binary exponent, then y = |x| 10^(11 - e) and m = rint(y), with one
+    correction of e where m is outside [1e11, 1e12).  The table power is
+    within 1 ulp and y is one product, so |y - y_true| <= 3.3e-4 for
+    y < 1e12, and m is y_true rounded to 12 digits unless y lies within
+    0.001 of a half.  Those values, the carry boundary (m = 1e11 from
+    y <= 99999999999.96: e may be one too high and x round below 10^e), 0,
+    non-finite values and |x| outside [1e-290, 1e300] go through ``%.12g``
+    itself.  Every value fills five uint64 words: sign and "0.000" lead,
+    twelve digits each followed by a point byte, "e+ddd" and separator;
+    bytes not printed are 0, and one ``translate`` drops them.
+    """
+    import numpy as np
+
+    powers, quads, sig, masks, lead, tail = _g12_tables()
+    rows, width = table.shape
+    x = table.ravel()
+    with np.errstate(all="ignore"):
+        a = np.abs(x)
+        slow = ~((a >= 1e-290) & (a <= 1e300))
+        a[slow] = 1.0
+        e = (np.frexp(a)[1].astype(np.intp) * 78913) >> 18  # floor(be log10 2), |be| < 1650
+        m = np.rint(a * powers[311 - e])  # powers[311 - e] = 10^(11 - e)
+        e += m >= 1e12
+        e -= m < 1e11
+        y = a * powers[311 - e]
+        m = np.rint(y)
+        slow |= (abs(y - m) >= 0.499) | ((m == 1e11) & (y <= 99999999999.96)) | (m >= 1e12)
+        m[slow] = 1e11
+        hi, rest = np.divmod(m.astype(np.int64), 10**8)
+        groups = (hi, *np.divmod(rest, 10**4))
+        nd = np.maximum(np.maximum(sig[0][hi], sig[1][groups[1]]), sig[2][groups[2]])
+        layout = np.where((e >= -4) & (e < 12), e + 5, 0) * 13 + nd  # masks' row and column
+        out = np.empty((x.size, 5), np.uint64)
+        out[:, 0] = lead[e + 300 + 601 * (x < 0)]
+        for g, group in enumerate(groups):
+            out[:, 1 + g] = quads[group] & masks[g][layout]
+        seps = np.frombuffer(b"\0\0\0\0\0,\0\0" * (width - 1) + b"\0\0\0\0\0\n\0\0", np.uint64)
+        out[:, 4] = (tail[e + 300].reshape(rows, width) | seps).ravel()
+        text = out.view(np.uint8).reshape(-1, 40)
+        for i in np.flatnonzero(slow):
+            text[i, :37] = np.frombuffer((b"%.12g" % x[i]).ljust(37, b"\0"), np.uint8)
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _param_args(p: argparse.ArgumentParser, alphas: bool = True) -> None:
     p.add_argument("--m1", type=float, default=1.0, help="mass of oscillator 1")
     p.add_argument("--m2", type=float, default=1.0, help="mass of oscillator 2")
@@ -61,7 +136,9 @@ def _common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON file whose keys override flags")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ncho`` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ncho",
         description="Spectrum and noncommutativity-induced entanglement of the "
@@ -119,22 +196,16 @@ def _params_from(args: argparse.Namespace) -> OscillatorParams:
     return OscillatorParams(args.m1, args.m2, args.alpha1, args.alpha2, args.theta)
 
 
-def _write(output: str | None, head: str, row: str = "", sep: str = "",
-           tail: str = "", blocks: Iterable[list] = ()) -> None:
-    """Write HEAD, the rows of BLOCKS through ROW joined by SEP, then TAIL.
+def _write(output: str | None, head: str, blocks: Iterable[str] = (), tail: str = "") -> None:
+    """Write HEAD, each rendered text of BLOCKS, then TAIL.
 
-    ROW holds one %-conversion per value, and each block is a flat list of
-    its rows' values.  The output is opened here, after the caller's checks,
-    so a command that fails before it writes creates no file.
+    The output is opened here, after the caller's checks, so a command that
+    fails before it writes creates no file.
     """
     fh = open(output, "w") if output else sys.stdout
     try:
         fh.write(head)
-        width = row.count("%")
-        lead = ""
-        for values in blocks:
-            fh.write((lead + sep.join([row] * (len(values) // width))) % tuple(values))
-            lead = sep
+        fh.writelines(blocks)
         fh.write(tail)
     finally:
         if output:
@@ -152,6 +223,15 @@ def _table_layout(fmt: str, keys: list[str], csv_row: str) -> tuple[str, str, st
         return ",".join(keys) + "\n", csv_row, "\n", "\n"
     fields = ",\n".join(f'    "{k}": %r' for k in keys)
     return "[\n", "  {\n" + fields + "\n  }", ",\n", "\n]\n"
+
+
+def _templated(row: str, sep: str, blocks: Iterable[list]) -> Iterator[str]:
+    """Each block, a flat list of values, through the %-template ROW; rows joined by SEP."""
+    width = row.count("%")
+    lead = ""
+    for values in blocks:
+        yield (lead + sep.join([row] * (len(values) // width))) % tuple(values)
+        lead = sep
 
 
 def analyze_report(params: OscillatorParams) -> dict:
@@ -239,16 +319,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     keys = SWEEP_HEADER.split(",")
     columns = [cols[k] for k in keys]
-
-    def blocks():
-        # Each block's rows as one row-major table, converted to Python
-        # floats in one call.
-        for lo in range(0, args.steps, BLOCK_ROWS):
-            yield np.column_stack([c[lo:lo + BLOCK_ROWS] for c in columns]).ravel().tolist()
-
-    # CSV rows in _fmt's format.
-    layout = _table_layout(args.format, keys, ",".join(["%.12g"] * len(keys)))
-    _write(args.output, *layout, blocks())
+    # Each block's rows as one row-major table.
+    tables = (np.column_stack([c[lo:lo + BLOCK_ROWS] for c in columns])
+              for lo in range(0, args.steps, BLOCK_ROWS))
+    if args.format == "csv":
+        _write(args.output, SWEEP_HEADER + "\n", map(_g12_csv, tables))
+    else:
+        head, row, sep, tail = _table_layout("json", keys, "")
+        _write(args.output, head, _templated(row, sep, (t.ravel().tolist() for t in tables)), tail)
     return EXIT_OK
 
 
@@ -265,8 +343,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         for lo in range(0, len(levels), BLOCK_ROWS):
             yield [v for e, n1, n2 in levels[lo:lo + BLOCK_ROWS] for v in (n1, n2, e)]
 
-    layout = _table_layout(args.format, ["n1", "n2", "energy"], "%d,%d,%.12g")
-    _write(args.output, *layout, blocks())
+    head, row, sep, tail = _table_layout(args.format, ["n1", "n2", "energy"], "%d,%d,%.12g")
+    _write(args.output, head, _templated(row, sep, blocks()), tail)
     return EXIT_OK
 
 

@@ -189,10 +189,12 @@ def _mode_frequencies(b, p, q, d, xp):
 
     sigma2 comes from the root product sqrt(c): sqrt((b - sqrt(D))/2)
     cancels badly when c << b^2, while sqrt(p)*sqrt(q) carries no
-    cancellation and, unlike c = p*q, no underflow.
+    cancellation and, unlike c = p*q, no underflow.  sigma2 <= sigma1 holds
+    exactly, and the two roundings can break it by an ulp, so sigma2 is
+    capped at sigma1.
     """
     sigma1 = xp.sqrt((b + xp.sqrt(d)) / 2)
-    return sigma1, xp.sqrt(p) * xp.sqrt(q) / sigma1
+    return sigma1, xp.minimum(xp.sqrt(p) * xp.sqrt(q) / sigma1, sigma1)
 
 
 def mode_spectrum(params: OscillatorParams) -> ModeSpectrum:

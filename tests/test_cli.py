@@ -13,6 +13,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -374,6 +375,59 @@ class TestSweep:
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
+def percent_g_rows(table: np.ndarray) -> str:
+    """The CSV rows of TABLE through ``%.12g``, one value at a time."""
+    return "".join(",".join("%.12g" % v for v in row) + "\n" for row in table.tolist())
+
+
+def with_neighbours(values: list[float]) -> list[float]:
+    """Each value, the floats one ulp below and above it, and their negatives."""
+    near = [y for x in values for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+    return near + [-y for y in near]
+
+
+def kernel_edge_values() -> list[float]:
+    exps = range(-323, 308)
+    values = [0.0, 5e-324, sys.float_info.min, sys.float_info.max, math.inf, math.nan]
+    values += [float(f"1e{k}") for k in exps] + [1e308]
+    values += [float(f"9.9999999999995e{k}") for k in exps]
+    # The largest 12-digit value below each power of ten: 12-digit rounding
+    # must not carry it up to that power.
+    values += [float(f"9.99999999999e{k}") for k in exps]
+    # (m + 1/2) 10^(e - 11), halfway between two 12-digit values.
+    values += [float(f"{m}5e{e - 12}") for m in (100000000000, 120000000000, 314159265358, 999999999999)
+               for e in range(-300, 301)]
+    # Where %.12g switches between fixed and scientific notation.
+    values += [1e-5, 9.99999999999e-5, 1e-4, 0.000123456789012, 1e12, 999999999999.0, 999999999999.5,
+               99999999999.5, 0.5, 123.456, 1.5e100, 1.5e-100]
+    return with_neighbours(values)
+
+
+class TestCsvKernel:
+    """``cli._g12_csv`` against ``%.12g``, byte for byte."""
+
+    def assert_matches(self, table: np.ndarray):
+        got, want = cli._g12_csv(table), percent_g_rows(table)
+        bad = [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w]
+        assert got == want, bad[:5]
+
+    def test_edge_values(self):
+        self.assert_matches(np.array(kernel_edge_values()).reshape(-1, 1))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda width: st.lists(st.lists(st.floats(), min_size=width, max_size=width), min_size=1, max_size=30)))
+    def test_any_float_table(self, rows):
+        self.assert_matches(np.array(rows, dtype=float))
+
+    def test_random_bit_patterns_and_halves(self):
+        rng = np.random.default_rng(23)
+        bits = rng.integers(0, 2**64, size=30_000, dtype=np.uint64).view(np.float64)
+        halves = (rng.integers(10**11, 10**12, 30_000) + 0.5) * 10.0 ** rng.integers(-280, 280, 30_000)
+        for values in (bits, halves, np.nextafter(halves, 0), np.nextafter(halves, np.inf)):
+            self.assert_matches(values.reshape(-1, 6))
+
+
 class TestSpectrum:
     def test_commutative_unit_levels(self, capsys):
         code, out, _ = run(
@@ -636,6 +690,31 @@ class TestPlumbing:
         proc = cold(check, *argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("[" if argv[0] == "sweep" else "{")
+
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # A --config sweep, a plain sweep and analyze in one process, each
+        # against a fresh process: nothing of one call may reach the next.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta": 2.5, "alpha1": 5, "format": "csv", "steps": 7}))
+        runs = [
+            ["sweep", "--kind", "theta", "--start", "0", "--stop", "3", "--steps", "5", "--config", str(cfg)],
+            ["sweep", "--kind", "ratio", "--start", "0.5", "--stop", "2", "--steps", "5"],
+            ["analyze"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from ncho import cli\n"
+            "assert cli.build_parser() is cli.build_parser()\n"
+            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    assert cli.main(argv + ['--output', sys.argv[2] + str(i)]) == 0, argv\n"
+        )
+        proc = cold(script, json.dumps(runs), str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        for i, argv in enumerate(runs):
+            fresh = cold("from ncho.cli import entrypoint; entrypoint()", *argv)
+            assert fresh.returncode == 0, fresh.stderr
+            assert (tmp_path / f"out{i}").read_text() == fresh.stdout, argv
+        assert fresh.stdout.startswith("{") and '"theta": 0.0' in fresh.stdout
 
     def test_twelve_significant_digits(self, capsys):
         _, out, _ = run(capsys, "analyze", *FIG1_FLAGS, "--theta", "1", "--format", "csv")

@@ -80,6 +80,39 @@ def test_near_degenerate_discriminant(point):
     assert (cols["sigma1"][0], cols["sigma2"][0]) == (spec.sigma1, spec.sigma2)
 
 
+def test_sigma2_capped_at_sigma1_where_it_rounded_above():
+    # Both closed forms rounded sigma2 to 2.390850681848216 here, an ulp
+    # above sigma1 = 2.3908506818482156.
+    point = (88.58004494632122, 88.58004494632716, 253.1691641327174, 253.16916413273444, 0.0)
+    spec = mode_spectrum(OscillatorParams(*point))
+    cols = entanglement_columns(*point)
+    assert spec.sigma2 <= spec.sigma1 == 2.3908506818482156
+    assert cols["sigma2"][0] <= cols["sigma1"][0] == 2.3908506818482156
+
+
+def nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# Commutative points whose modes have alpha/m equal up to a few ulps, where
+# sigma1 and sigma2 are the same frequency in two roundings.
+near_isotropic = st.builds(
+    lambda m, a, scale, ulps: (m, m * scale, a, nudged(a * scale, ulps), 0.0),
+    log_uniform, log_uniform, power_of_two, st.integers(-2, 2),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(near_isotropic, min_size=1, max_size=20))
+def test_sigma2_never_above_sigma1_near_isotropy(points):
+    cols = entanglement_columns(*np.array(points).T)
+    for i, point in enumerate(points):
+        spec = mode_spectrum(OscillatorParams(*point))
+        assert spec.sigma2 <= spec.sigma1 and cols["sigma2"][i] <= cols["sigma1"][i], point
+
+
 @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
 def test_invalid_row_raises_domain_error(bad):
     with pytest.raises(DomainError, match="theta"):
