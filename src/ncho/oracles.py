@@ -139,7 +139,7 @@ def numeric_eigenvalues(omega_matrix: np.ndarray) -> np.ndarray:
 def expected_eigenvalues(spec: ModeSpectrum) -> np.ndarray:
     """{-i*s1, -i*s2, +i*s2, +i*s1}, in the order of ``numeric_eigenvalues``.
 
-    The pair is sorted, so a spectrum built with sigma2 above sigma1 keeps it.
+    The pair is sorted, so the order holds for a spectrum built with sigma2 above sigma1.
     """
     lo, hi = sorted((spec.sigma1, spec.sigma2))
     return np.array((-1j * hi, -1j * lo, 1j * lo, 1j * hi))

@@ -185,13 +185,12 @@ def _quartic_p_q_d(m1, m2, alpha1, alpha2, th2):
 
 
 def _mode_frequencies(b, p, q, d, xp):
-    """sigma1 = sqrt((b + sqrt(D))/2) and sigma2 = sqrt(p)*sqrt(q)/sigma1.
+    """sigma1 = sqrt((b + sqrt(D))/2) and sigma2 = min(sqrt(p)*sqrt(q)/sigma1, sigma1).
 
     sigma2 comes from the root product sqrt(c): sqrt((b - sqrt(D))/2)
     cancels badly when c << b^2, while sqrt(p)*sqrt(q) carries no
-    cancellation and, unlike c = p*q, no underflow.  sigma2 <= sigma1 holds
-    exactly, and the two roundings can break it by an ulp, so sigma2 is
-    capped at sigma1.
+    cancellation and, unlike c = p*q, no underflow.  The cap keeps
+    sigma2 <= sigma1 where the two roundings break it by an ulp.
     """
     sigma1 = xp.sqrt((b + xp.sqrt(d)) / 2)
     return sigma1, xp.minimum(xp.sqrt(p) * xp.sqrt(q) / sigma1, sigma1)
