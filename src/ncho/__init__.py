@@ -37,7 +37,6 @@ _ORACLE_NAMES = (
     "oracles",
     "GridSpec",
     "ValidationReport",
-    "ValidationThresholds",
     "gaussian_moment_quadrature",
     "numeric_eigenvalues",
     "run_validation",

@@ -349,17 +349,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from . import oracles
 
     report = oracles.run_validation(_params_from(args))
-    payload = {
-        "eigen_residual": report.eigen_residual,
-        "schrodinger_residual": report.schrodinger_residual,
-        "moment_max_err": report.moment_max_err,
-        "es_spread": report.es_spread,
-        "passed": report.passed,
-    }
-    _write(args.output, _render_flat(payload, args.format))
+    _write(args.output, _render_flat(asdict(report), args.format))
     if report.passed:
         return EXIT_OK
     failing = ", ".join(oracles.failing_checks(report))

@@ -19,22 +19,25 @@ thin QR and one cross phase that both axes share; the moment sums size
 each axis from the width of its own factor of |psi|^2.  numpy forms only
 the axis sums: the 2x2 step from them to the moments, and their
 comparison with the closed form, run on plain floats.  ``run_validation``
-bundles the oracles on the default grid, together with a two-path
-agreement check of the Simon functional, into a single report.
+bundles the oracles on the default grid, together with a check of the
+closed-form E_S against the pure-state identity, into a single report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from . import gaussian, oscillator
 from .errors import DomainError, GridConfigurationError, NumericRangeError
 from .gaussian import TwoModeGaussian
-from .oscillator import ModeSpectrum, OscillatorParams
+from .oscillator import OscillatorParams
 
 MIN_POINTS_PER_AXIS = 33
 MIN_RESIDUAL_EXTENT = 6.0
@@ -76,21 +79,14 @@ class GridSpec:
         return x, x[1] - x[0]
 
 
-@dataclass(frozen=True)
-class ValidationThresholds:
-    """Pass/fail limits for ``run_validation``.
-
-    The Schrodinger threshold reflects the pure O(h^2) discretization
-    error of the default 257-point grid.  The moment threshold is far above
-    the quadrature's measured worst error, 1.1e-15 on the default grid over
-    2,000 ground states with inputs over 1e-2...1e2 and theta over
-    1e-3...1e2.  The others are far above the oracle noise floor.
-    """
-
-    eigen: float = 1e-8
-    schrodinger: float = 1e-2
-    moments: float = 1e-8
-    es_spread: float = 1e-9
+# Each check passes only below its limit.  The Schrodinger limit reflects
+# the pure O(h^2) discretization error of the default 257-point grid.  The
+# moment limit is far above the quadrature's measured worst error, 1.1e-15
+# on the default grid over 2,000 ground states with inputs over 1e-2...1e2
+# and theta over 1e-3...1e2; the E_S limit is far above the worst spread
+# there, 2e-15.  The eigen limit is far above the solver's noise floor.
+_CHECKS = ("eigen_residual", "schrodinger_residual", "moment_max_err", "es_spread")
+_THRESHOLDS = namedtuple("Thresholds", "eigen schrodinger moments es_spread")(1e-8, 1e-2, 1e-8, 1e-12)
 
 
 @dataclass(frozen=True)
@@ -100,26 +96,18 @@ class ValidationReport:
     moment_max_err: float
     es_spread: float
     passed: bool
-    thresholds: ValidationThresholds = field(default_factory=ValidationThresholds)
+    thresholds: ClassVar = _THRESHOLDS  # one limit per check, in field order
 
 
-# run_validation's grid and thresholds.  An odd number of points puts x = 0
-# on the grid, so psi's grid norm is at least 1 and the residual cannot
-# raise GridConfigurationError.
+# run_validation's grid.  An odd number of points puts x = 0 on the grid,
+# so psi's grid norm is at least 1 and the residual cannot raise
+# GridConfigurationError.
 _DEFAULT_GRID = GridSpec()
-_DEFAULT_THRESHOLDS = ValidationThresholds()
 
 
 def failing_checks(report: ValidationReport) -> list[str]:
     """Names of the checks whose value is not below its threshold."""
-    values = (report.eigen_residual, report.schrodinger_residual, report.moment_max_err, report.es_spread)
-    return _failing(values, report.thresholds)
-
-
-def _failing(values, t: ValidationThresholds) -> list[str]:
-    names = ("eigen_residual", "schrodinger_residual", "moment_max_err", "es_spread")
-    limits = (t.eigen, t.schrodinger, t.moments, t.es_spread)
-    return [name for name, value, limit in zip(names, values, limits) if not value < limit]
+    return [name for name, limit in zip(_CHECKS, _THRESHOLDS) if not getattr(report, name) < limit]
 
 
 def numeric_eigenvalues(omega_matrix: np.ndarray) -> np.ndarray:
@@ -134,24 +122,6 @@ def numeric_eigenvalues(omega_matrix: np.ndarray) -> np.ndarray:
     # Python complex sorts faster than numpy scalars; np.lexsort costs 0.15 MB of RSS.
     evals = np.linalg.eigvals(m).tolist()
     return np.array(sorted(evals, key=lambda z: (z.imag, z.real)))
-
-
-def expected_eigenvalues(spec: ModeSpectrum) -> np.ndarray:
-    """{-i*s1, -i*s2, +i*s2, +i*s1}, in the order of ``numeric_eigenvalues``.
-
-    The pair is sorted, so the order holds for a spectrum built with sigma2 above sigma1.
-    """
-    lo, hi = sorted((spec.sigma1, spec.sigma2))
-    return np.array((-1j * hi, -1j * lo, 1j * lo, 1j * hi))
-
-
-def eigen_max_err(numeric: np.ndarray, expected: np.ndarray) -> float:
-    """Worst error of the numeric eigenvalues, each relative to its own modulus.
-
-    A small sigma2 is judged against itself, not against sigma1, so an
-    error in the slow mode cannot hide behind the fast one.
-    """
-    return float((abs(numeric - expected) / abs(expected)).max())
 
 
 def _require_separable(state: TwoModeGaussian) -> None:
@@ -291,12 +261,22 @@ def moment_max_err(closed: gaussian.CovarianceBlocks, quad: gaussian.CovarianceB
 
 
 def run_validation(params: OscillatorParams) -> ValidationReport:
-    """Run every oracle against the closed-form pipeline for one parameter set.
+    """Run one check per closed form for one parameter set.
 
-    The grid oracles run on the default ``GridSpec``.  Raises
-    ``NumericRangeError`` where a check's value is not finite, because an
-    intermediate of an oracle or of the closed forms it reads left the
-    float range.
+    * eigen: the dense eigenvalues against (-i s1, -i s2, i s2, i s1), each
+      relative to its own modulus, so an error in the slow mode cannot hide
+      behind the fast one;
+    * Schrodinger residual and moments: the grid oracles on the default
+      ``GridSpec``, against the closed-form state and its covariance;
+    * E_S: ``es_closed_form`` against the state's own E_S.  For a pure
+      two-mode Gaussian Omega^2 = 1/4 - E_S is the determinant of either
+      mode's covariance block (Adesso and Illuminati, J. Phys. A 40, 7821
+      (2007)), so at Re gamma = 0 E_S = -(Im gamma)^2 / (4 Re alpha Re
+      beta), a square of quotients here so that no product underflows.
+
+    Raises ``NumericRangeError`` where a check's value is not finite,
+    because an intermediate of an oracle or of the closed forms it reads
+    left the float range.
     """
     spec = oscillator.mode_spectrum(params)
     state = oscillator.ground_state_lambda_closed(params, spec)
@@ -305,17 +285,18 @@ def run_validation(params: OscillatorParams) -> ValidationReport:
     # the finiteness check below reports that once, for every check.
     with np.errstate(all="ignore"):
         evals = numeric_eigenvalues(oscillator.build_omega_matrix(params))
-        eigen_residual = eigen_max_err(evals, expected_eigenvalues(spec))
+        s1, s2 = spec.sigma1, spec.sigma2  # numeric_eigenvalues' order, as s2 <= s1
+        expected = np.array((-1j * s1, -1j * s2, 1j * s2, 1j * s1))
+        eigen_residual = float((abs(evals - expected) / abs(expected)).max())
         schrod = schrodinger_residual(params, state, _DEFAULT_GRID)
-
-        closed_cov = gaussian.covariance_blocks(state)
         quad_cov = gaussian_moment_quadrature(state, _DEFAULT_GRID)
-        moment_err = moment_max_err(closed_cov, quad_cov)
+        moment_err = moment_max_err(gaussian.covariance_blocks(state), quad_cov)
 
-        es_direct = oscillator.es_closed_form(params)
-        es_pipeline = gaussian.simon_es(closed_cov)
-        es_spread = abs(es_direct - es_pipeline) / max(abs(es_direct), abs(es_pipeline), 1e-5)
+    es_closed = oscillator.es_closed_form(params)
+    g = state.gamma.imag / math.sqrt(state.alpha.real) / math.sqrt(state.beta.real)
+    es_state = -g * g / 4
+    es_spread = abs(es_closed - es_state) / max(abs(es_closed), abs(es_state), sys.float_info.min)
     values = (eigen_residual, schrod, moment_err, es_spread)
     if not all(map(math.isfinite, values)):
         raise NumericRangeError(f"validation checks {values} are not all finite for params {params}")
-    return ValidationReport(*values, not _failing(values, _DEFAULT_THRESHOLDS), _DEFAULT_THRESHOLDS)
+    return ValidationReport(*values, all(v < limit for v, limit in zip(values, _THRESHOLDS)))

@@ -520,12 +520,12 @@ class TestValidate:
         "flags, code, failing",
         [
             # Re(alpha)*Re(beta) of the ground state underflows to 0.  E_S =
-            # -3.4e91 here, and the dense eig, the residual and Simon's
-            # functional of the blocks (terms of 1e183) lose every digit.
+            # -3.4e91 here, and the dense eig and the residual lose every
+            # digit; the state's own E_S agrees with the closed form.
             (["--m1", "2.0525960107252939e-81", "--m2", "2.4766685037342248e-95",
               "--alpha1", "1.3020380541233286e-146", "--alpha2", "4.549805912398335e+25",
               "--theta", "2.0016881072844387e+132"],
-             5, "eigen_residual, schrodinger_residual, es_spread"),
+             5, "eigen_residual, schrodinger_residual"),
             # Re(alpha)*Re(beta) = 4.9e-232 is representable, but
             # 2*Re(alpha)*(Re(alpha)*Re(beta)) underflows.
             (["--m1", "9.363853846513709e-89", "--m2", "2.7720549198381852e-89",

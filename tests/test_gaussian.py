@@ -1,5 +1,6 @@
 """Two-mode Gaussian states: normalizability, covariance, E_S and E_F."""
 
+import decimal
 import math
 
 import numpy as np
@@ -210,13 +211,13 @@ class TestEntanglementOfFormation:
         assert e_f == pytest.approx(0.0358815660378616, rel=1e-13)
 
     def test_against_high_precision_evaluation(self):
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        for e_s in (-1 / 12, -0.005872, -1e-8, -3.7):
-            om = mpmath.sqrt(mpmath.mpf("0.25") - mpmath.mpf(e_s))
-            exact = (om + 0.5) * mpmath.log(om + 0.5) - (om - 0.5) * mpmath.log(om - 0.5)
-            _, e_f = entanglement_of_formation(e_s)
-            assert e_f == pytest.approx(float(exact), rel=1e-12)
+        with decimal.localcontext(decimal.Context(prec=40)):
+            for e_s in (-1 / 12, -0.005872, -1e-8, -3.7):
+                om = (decimal.Decimal("0.25") - decimal.Decimal(e_s)).sqrt()
+                plus, minus = om + decimal.Decimal("0.5"), om - decimal.Decimal("0.5")
+                exact = plus * plus.ln() - minus * minus.ln()
+                _, e_f = entanglement_of_formation(e_s)
+                assert e_f == pytest.approx(float(exact), rel=1e-12)
 
     def test_positive_input_rejected(self):
         with pytest.raises(DomainError, match="never positive"):
