@@ -307,9 +307,18 @@ def sweep_rows(kind: str, start: float, stop: float, steps: int,
             theta = value
         else:
             # Fix alpha1*alpha2 = product and set the anisotropy ratio to the
-            # sweep value; with r = (a1/m1)/(a2/m2) this pins a1 uniquely.
-            alpha1 = np.sqrt(product * value * m1 / m2)
+            # sweep value; with r = (a1/m1)/(a2/m2) this pins a1 uniquely.  A
+            # product of roots leaves the float range only where a1 does.
+            OscillatorParams(m1, m2, 1.0, 1.0, theta)  # the fixed inputs, checked first
+            alpha1 = np.sqrt(product) * np.sqrt(value) * (np.sqrt(m1) / np.sqrt(m2))
             alpha2 = product / alpha1
+            bad = ~((0 < alpha1) & (alpha1 < np.inf) & (0 < alpha2) & (alpha2 < np.inf))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DomainError(
+                    f"the ratio sweep gives alpha1 = {alpha1[i]}, alpha2 = {alpha2[i]} at value "
+                    f"{value[i]}; choose --start, --stop and --product so both stay positive and finite"
+                )
     return {"sweep_value": value, **oscillator.entanglement_columns(m1, m2, alpha1, alpha2, theta)}
 
 
@@ -391,3 +400,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

