@@ -7,8 +7,7 @@ A state is parametrized by the complex coefficients of its exponent,
 in hbar = 1 oscillator units.  From these coefficients the module computes
 the 2x2 covariance blocks of both modes and their cross correlations, the
 Simon separability functional E_S, and the Entanglement of Formation E_F
-(in nats) through t = Omega - 1/2 = -E_S/(Omega + 1/2), which does not
-cancel.  All functions are pure and all values are immutable after
+(in nats).  All functions are pure and all values are immutable after
 construction.  The covariance blocks are 2x2 tuples of floats, and the
 2x2 algebra runs on plain floats: only ``formation_columns``, the array
 form of E_F, imports numpy.
@@ -24,6 +23,10 @@ from .errors import DomainError, NumericRangeError
 
 if TYPE_CHECKING:
     import numpy as np
+
+#: Below this distance of Omega from 1/2 the x*ln(x) limit branch is taken.
+OMEGA_LIMIT_GUARD = 1e-15
+
 
 class TwoModeGaussian(namedtuple("TwoModeGaussian", "alpha beta gamma")):
     """Exponent coefficients of a normalized two-mode Gaussian.
@@ -164,24 +167,19 @@ def simon_es(cov: CovarianceBlocks) -> float:
     return e_s
 
 
-def _formation(e_s, xp):
-    """(Omega, E_F) at E_S <= 0, on floats (xp = math) or arrays (xp = numpy).
+def _omega(e_s, xp):
+    """Omega = sqrt(1/4 - E_S), on floats (xp = math) or arrays (xp = numpy)."""
+    return xp.sqrt(0.25 - e_s)
 
-    t = Omega - 1/2 = -E_S/(Omega + 1/2), as Omega^2 - 1/4 = -E_S, so t does
-    not cancel.  E_F = ln(1 + t) + t L with L = ln(1 + 1/t), or ln(1 + t) -
-    ln(t) below t = 1, where 1/t can overflow: each term is positive.
+
+def _formation(omega, xp):
+    """E_F at Omega > 1/2, on floats (xp = math) or arrays (xp = numpy).
+
+    ln(Omega + 1/2) + (Omega - 1/2) ln(1 + 1/(Omega - 1/2)) equals the
+    textbook difference of x ln x terms, which cancels to 0 at large Omega.
     """
-    omega = xp.sqrt(0.25 - e_s)
-    t = -e_s / (omega + 0.5)
-    if xp is math:
-        if t == 0:
-            return omega, 0.0
-        lp = math.log1p(t)
-        return omega, lp + t * (math.log1p(1 / t) if t >= 1 else lp - math.log(t))
-    with xp.errstate(all="ignore"):  # 1/t can overflow where t < 1; t == 0 is replaced below
-        lp = xp.log1p(t)
-        e_f = lp + t * xp.where(t >= 1, xp.log1p(1 / t), lp - xp.log(t))
-    return omega, xp.where(t == 0, 0.0, e_f)
+    t = omega - 0.5
+    return xp.log(omega + 0.5) + t * xp.log1p(1 / t)
 
 
 def _bad_es(e_s: float) -> DomainError:
@@ -199,24 +197,32 @@ def entanglement_of_formation(e_s: float) -> tuple[float, float]:
 
         E_F = (Omega + 1/2) ln(Omega + 1/2) - (Omega - 1/2) ln(Omega - 1/2),
 
-    the von Neumann entropy of either reduced mode, in nats, evaluated from
-    t = Omega - 1/2 = -E_S/(Omega + 1/2) (see ``_formation``): E_F = 0 only
-    at E_S = 0.  Raises ``DomainError`` where E_S is positive or not finite.
+    the von Neumann entropy of either reduced mode, in nats.  The
+    Omega -> 1/2 limit is taken continuously, so E_F(0) = 0 exactly.
+    Raises ``DomainError`` where E_S is positive or not finite.
     """
     if not (-math.inf < e_s <= 0):
         raise _bad_es(e_s)
-    return _formation(e_s, math)
+    omega = _omega(e_s, math)
+    if omega - 0.5 < OMEGA_LIMIT_GUARD:
+        return omega, 0.0
+    return omega, _formation(omega, math)
 
 
 def formation_columns(e_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``entanglement_of_formation`` on an array of E_S values: (Omega, E_F) arrays.
 
-    The same closed forms; raises the same ``DomainError`` if any E_S is
-    positive or not finite.
+    The same closed forms and the same limit branch; raises the same
+    ``DomainError`` if any E_S is positive or not finite.
     """
     import numpy as np
 
     bad = ~((-np.inf < e_s) & (e_s <= 0))
     if bad.any():
         raise _bad_es(e_s[bad][0])
-    return _formation(e_s, np)
+    omega = _omega(e_s, np)
+    limit = omega - 0.5 < OMEGA_LIMIT_GUARD
+    # Omega = 3/2 stands in on the limit rows so the logarithms stay finite;
+    # their E_F is then set to 0.
+    return omega, np.where(limit, 0.0, _formation(np.where(limit, 1.5, omega), np))
+

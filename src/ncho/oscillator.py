@@ -402,8 +402,8 @@ def asymptotic_bounds(params: OscillatorParams) -> AsymptoticBounds:
     Omega0^2 = 1/4 - E_S(inf) holds identically.  E_S(inf) = -d^2/16 with
     d = (x - y) / (sqrt(x) sqrt(y)), x = sqrt(a1 m2) and y = sqrt(a2 m1), so
     the product x*y, which can overflow where the results do not, is never
-    formed.  The E_F bound keeps t = Omega0 - 1/2 by subtraction, the form
-    perfbench/reference.py checks it against to 1e-12 relative.  Raises
+    formed; Omega0 and the E_F bound come from one
+    ``entanglement_of_formation`` call at E_S(inf).  Raises
     ``NumericRangeError`` where E_S(inf) is not finite.
     """
     x = math.sqrt(params.alpha1 * params.m2)
@@ -415,9 +415,7 @@ def asymptotic_bounds(params: OscillatorParams) -> AsymptoticBounds:
         e_s_limit = math.nan
     if not math.isfinite(e_s_limit):
         raise _es_range(params)
-    omega0, _ = gaussian.entanglement_of_formation(e_s_limit)
-    t = omega0 - 0.5
-    e_f_bound = math.log(omega0 + 0.5) + t * math.log1p(1 / t) if t > 0 else 0.0
+    omega0, e_f_bound = gaussian.entanglement_of_formation(e_s_limit)
     return tuple.__new__(AsymptoticBounds, (e_s_limit, omega0, e_f_bound))
 
 

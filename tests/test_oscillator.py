@@ -302,10 +302,7 @@ class TestPositionalResults:
                 assert type(value) is cls and cls(**value._asdict()) == value
             assert canon.big_m2 * canon.omega2_sq == pytest.approx(2 * p.alpha2, rel=1e-14)
             assert spec.d == pytest.approx((spec.sigma1**2 - spec.sigma2**2) ** 2, rel=1e-10)
-            # The bound is still taken through Omega0 - 1/2 by subtraction (see
-            # asymptotic_bounds), which leaves it ~1e-16 absolute off E_F(E_S(inf)).
-            want = entanglement_of_formation(bounds.e_s_limit)[1]
-            assert bounds.e_f_bound == pytest.approx(want, rel=0, abs=1e-15)
+            assert bounds.e_f_bound == entanglement_of_formation(bounds.e_s_limit)[1]
 
 
 class TestEnergyLevels:
@@ -617,3 +614,12 @@ class TestMonotoneSaturation:
         assert values[0] == 0.0
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(v <= bound for v in values)
+
+    @pytest.mark.parametrize("alpha2", [1 + 1e-8, 1 + 1e-6, 1 + 1e-4])
+    def test_near_isotropic_entropy_stays_below_bound(self, alpha2):
+        # E_S(inf) is ~1e-17 at alpha2 = 1 + 1e-8, where Omega0 rounds to 1/2;
+        # E_F and its bound must still come from the same formula.
+        bound = asymptotic_bounds(OscillatorParams(1.0, 1.0, 1.0, alpha2, 0.0)).e_f_bound
+        for theta in (1.0, 1e3, 1e6):
+            e_f = entanglement_of_formation(es_closed_form(OscillatorParams(1.0, 1.0, 1.0, alpha2, theta)))[1]
+            assert 0 <= e_f <= bound
