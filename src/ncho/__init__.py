@@ -1,8 +1,9 @@
 """Noncommutative-plane anisotropic oscillator: spectrum and entanglement.
 
-``import ncho`` loads only the standard library.  numpy loads with the
-first array-building call, and ``oracles`` (which needs numpy at import)
-on first use of one of its names below.
+``import ncho`` loads only the standard library, and not ``dataclasses``.
+numpy loads with the first array-building call, in every module;
+``oracles``, whose grid and report types are dataclasses, loads on first
+use of one of its names below.
 """
 
 from importlib import import_module as _import_module
@@ -33,6 +34,8 @@ from .oscillator import (
     mode_spectrum,
 )
 
+# Looked up on first use: importing oracles loads dataclasses, and with it
+# inspect, ast, dis and tokenize, which ``import ncho`` otherwise avoids.
 _ORACLE_NAMES = (
     "oracles",
     "GridSpec",

@@ -21,23 +21,29 @@ the axis sums: the 2x2 step from them to the moments, and their
 comparison with the closed form, run on plain floats.  ``run_validation``
 bundles the oracles on the default grid, together with a check of the
 closed-form E_S against the pure-state identity, into a single report.
+
+Importing this module loads ``dataclasses`` but not numpy: numpy loads
+with the first array-building call, as in the rest of the package, so
+building a ``GridSpec`` or reading a ``ValidationReport`` needs none.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar
 
 from . import gaussian, oscillator
 from .errors import DomainError, GridConfigurationError, NumericRangeError
 from .gaussian import TwoModeGaussian
 from .oscillator import OscillatorParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MIN_POINTS_PER_AXIS = 33
 MIN_RESIDUAL_EXTENT = 6.0
@@ -60,17 +66,25 @@ class GridSpec:
     points_per_axis: int = 257
 
     def __post_init__(self):
-        if not (self.extent > 0):
-            raise GridConfigurationError(f"extent must be positive, got {self.extent}")
-        if self.points_per_axis < MIN_POINTS_PER_AXIS:
+        # Stdlib checks, so that building a grid loads no numpy.  NaN fails
+        # both comparisons, and an int above the float range the second.
+        if not 0 < self.extent <= sys.float_info.max:
+            raise GridConfigurationError(f"extent must be positive and finite, got {self.extent}")
+        try:
+            enough = operator.index(self.points_per_axis) >= MIN_POINTS_PER_AXIS
+        except TypeError:
+            enough = False
+        if not enough:
             raise GridConfigurationError(
-                f"points_per_axis must be >= {MIN_POINTS_PER_AXIS} "
-                f"(got {self.points_per_axis}); below that the discretization "
+                f"points_per_axis must be an integer >= {MIN_POINTS_PER_AXIS} "
+                f"(got {self.points_per_axis!r}); below that the discretization "
                 "error dominates any physical signal"
             )
 
     @cached_property
     def _unit_axis(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(-self.extent, self.extent, self.points_per_axis)
 
     def axis(self, char_length: float) -> tuple[np.ndarray, float]:
@@ -116,6 +130,8 @@ def numeric_eigenvalues(omega_matrix: np.ndarray) -> np.ndarray:
     For a valid oscillator matrix these are {-i*s1, -i*s2, +i*s2, +i*s1}
     with real parts at roundoff level.
     """
+    import numpy as np
+
     m = np.asarray(omega_matrix, dtype=float)
     if not np.isfinite(m).all():
         raise DomainError("dynamical matrix contains non-finite entries")
@@ -168,6 +184,8 @@ def schrodinger_residual(params: OscillatorParams, state: TwoModeGaussian, grid:
     ``GridConfigurationError`` where the grid is too narrow or psi
     underflows to 0 at every grid point.
     """
+    import numpy as np
+
     x, h = _residual_axis(state, grid)
     canon = oscillator.bopp_shift(params)
     spec = oscillator.mode_spectrum(params)
@@ -223,6 +241,8 @@ def gaussian_moment_quadrature(state: TwoModeGaussian, grid: GridSpec) -> gaussi
     of a Gaussian converge exponentially.  Raises ``DomainError`` where
     Re(gamma) != 0.
     """
+    import numpy as np
+
     _require_separable(state)
     coeff = np.array(((state.alpha.real,), (state.beta.real,)))
     x = grid._unit_axis * (1.0 / np.sqrt(coeff))  # grid.axis of each length, as rows
@@ -278,6 +298,8 @@ def run_validation(params: OscillatorParams) -> ValidationReport:
     because an intermediate of an oracle or of the closed forms it reads
     left the float range.
     """
+    import numpy as np
+
     spec = oscillator.mode_spectrum(params)
     state = oscillator.ground_state_lambda_closed(params, spec)
 

@@ -696,6 +696,33 @@ class TestPlumbing:
         proc = cold(check, command, *FIG1_FLAGS, "--theta", "1")
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize(
+        "first_array",
+        ["assert run_validation(ncho.OscillatorParams(1, 1, 5, 10, 1)).passed", "grid._unit_axis"],
+        ids=["run_validation", "unit_axis"],
+    )
+    def test_oracles_load_numpy_with_the_first_array(self, first_array):
+        # Every submodule but __main__ (which runs the command) imports
+        # without numpy, and so do a grid and failing_checks; the first
+        # array-building call loads it.
+        check = (
+            "import pkgutil, sys, ncho\n"
+            "assert not {'numpy', 'dataclasses'} & set(sys.modules), 'import ncho'\n"
+            "names = [m.name for m in pkgutil.iter_modules(ncho.__path__) if m.name != '__main__']\n"
+            "assert {'cli', 'gaussian', 'oracles', 'oscillator'} <= set(names), names\n"
+            "for name in names:\n"
+            "    __import__('ncho.' + name)\n"
+            "from ncho import GridSpec, ValidationReport, oracles, run_validation\n"
+            "grid = GridSpec()\n"
+            "report = ValidationReport(0.0, 1.0, 0.0, 0.0, False)\n"
+            "assert oracles.failing_checks(report) == ['schrodinger_residual']\n"
+            "assert 'numpy' not in sys.modules, 'before the first array'\n"
+            f"{first_array}\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        proc = cold(check)
+        assert proc.returncode == 0, proc.stderr
+
     def test_every_exported_name_resolves(self):
         check = (
             "import ncho\n"

@@ -61,6 +61,19 @@ class TestGridSpec:
         with pytest.raises(GridConfigurationError):
             GridSpec(extent=0.0)
 
+    @pytest.mark.parametrize("extent", [math.inf, math.nan])
+    def test_nonfinite_extent_rejected(self, extent):
+        with pytest.raises(GridConfigurationError, match="positive and finite"):
+            GridSpec(extent=extent)
+
+    def test_non_integer_points_rejected(self):
+        with pytest.raises(GridConfigurationError, match="an integer"):
+            GridSpec(points_per_axis=257.0)
+
+    def test_numpy_integer_points_accepted(self):
+        grid = GridSpec(points_per_axis=np.int64(257))
+        assert np.array_equal(grid.axis(1.0)[0], GridSpec().axis(1.0)[0])
+
 
 class TestNumericEigenvalues:
     def test_unit_oscillator(self):
