@@ -14,7 +14,6 @@ from .gaussian import (
     TwoModeGaussian,
     covariance_blocks,
     entanglement_of_formation,
-    formation_columns,
     simon_es,
 )
 from .oscillator import (

@@ -124,12 +124,11 @@ def _g12_csv(table: np.ndarray) -> str:
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _param_args(p: argparse.ArgumentParser, alphas: bool = True) -> None:
+def _param_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m1", type=float, default=1.0, help="mass of oscillator 1")
     p.add_argument("--m2", type=float, default=1.0, help="mass of oscillator 2")
-    if alphas:
-        p.add_argument("--alpha1", type=float, default=1.0, help="stiffness of oscillator 1")
-        p.add_argument("--alpha2", type=float, default=1.0, help="stiffness of oscillator 2")
+    p.add_argument("--alpha1", type=float, default=1.0, help="stiffness of oscillator 1")
+    p.add_argument("--alpha2", type=float, default=1.0, help="stiffness of oscillator 2")
     p.add_argument("--theta", type=float, default=0.0, help="noncommutativity parameter")
 
 

@@ -9,20 +9,17 @@ the 2x2 covariance blocks of both modes and their cross correlations, the
 Simon separability functional E_S, and the Entanglement of Formation E_F
 (in nats).  All functions are pure and all values are immutable after
 construction.  The covariance blocks are 2x2 tuples of floats, and the
-2x2 algebra runs on plain floats: only ``formation_columns``, the array
-form of E_F, imports numpy.
+2x2 algebra runs on plain floats: nothing here imports numpy, and the
+array path ``oscillator.entanglement_columns`` passes numpy to
+``_formation`` itself.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericRangeError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Below this distance of Omega from 1/2 the x*ln(x) limit branch is taken.
 OMEGA_LIMIT_GUARD = 1e-15
@@ -167,11 +164,6 @@ def simon_es(cov: CovarianceBlocks) -> float:
     return e_s
 
 
-def _omega(e_s, xp):
-    """Omega = sqrt(1/4 - E_S), on floats (xp = math) or arrays (xp = numpy)."""
-    return xp.sqrt(0.25 - e_s)
-
-
 def _formation(omega, xp):
     """E_F at Omega > 1/2, on floats (xp = math) or arrays (xp = numpy).
 
@@ -180,14 +172,6 @@ def _formation(omega, xp):
     """
     t = omega - 0.5
     return xp.log(omega + 0.5) + t * xp.log1p(1 / t)
-
-
-def _bad_es(e_s: float) -> DomainError:
-    what = f"{e_s} > 0" if 0 < e_s < math.inf else f"{e_s} is not finite"
-    return DomainError(
-        f"E_S = {what}: the pure-state Simon functional is finite and never positive; "
-        "such a value indicates a broken covariance computation upstream"
-    )
 
 
 def entanglement_of_formation(e_s: float) -> tuple[float, float]:
@@ -202,27 +186,13 @@ def entanglement_of_formation(e_s: float) -> tuple[float, float]:
     Raises ``DomainError`` where E_S is positive or not finite.
     """
     if not (-math.inf < e_s <= 0):
-        raise _bad_es(e_s)
-    omega = _omega(e_s, math)
+        what = f"{e_s} > 0" if 0 < e_s < math.inf else f"{e_s} is not finite"
+        raise DomainError(
+            f"E_S = {what}: the pure-state Simon functional is finite and never positive; "
+            "such a value indicates a broken covariance computation upstream"
+        )
+    omega = math.sqrt(0.25 - e_s)
     if omega - 0.5 < OMEGA_LIMIT_GUARD:
         return omega, 0.0
     return omega, _formation(omega, math)
-
-
-def formation_columns(e_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``entanglement_of_formation`` on an array of E_S values: (Omega, E_F) arrays.
-
-    The same closed forms and the same limit branch; raises the same
-    ``DomainError`` if any E_S is positive or not finite.
-    """
-    import numpy as np
-
-    bad = ~((-np.inf < e_s) & (e_s <= 0))
-    if bad.any():
-        raise _bad_es(e_s[bad][0])
-    omega = _omega(e_s, np)
-    limit = omega - 0.5 < OMEGA_LIMIT_GUARD
-    # Omega = 3/2 stands in on the limit rows so the logarithms stay finite;
-    # their E_F is then set to 0.
-    return omega, np.where(limit, 0.0, _formation(np.where(limit, 1.5, omega), np))
 

@@ -68,8 +68,11 @@ class GridSpec:
     def __post_init__(self):
         # Stdlib checks, so that building a grid loads no numpy.  NaN fails
         # both comparisons, and an int above the float range the second.
+        # An int of too many digits to print is named, not formatted.
         if not 0 < self.extent <= sys.float_info.max:
-            raise GridConfigurationError(f"extent must be positive and finite, got {self.extent}")
+            raise GridConfigurationError(
+                f"extent must be positive and finite, got {oscillator._shown(self.extent)}"
+            )
         try:
             enough = operator.index(self.points_per_axis) >= MIN_POINTS_PER_AXIS
         except TypeError:
@@ -77,8 +80,8 @@ class GridSpec:
         if not enough:
             raise GridConfigurationError(
                 f"points_per_axis must be an integer >= {MIN_POINTS_PER_AXIS} "
-                f"(got {self.points_per_axis!r}); below that the discretization "
-                "error dominates any physical signal"
+                f"(got {oscillator._shown(self.points_per_axis)!r}); below that the "
+                "discretization error dominates any physical signal"
             )
 
     @cached_property

@@ -176,12 +176,15 @@ def _quartic_p_q_d(m1, m2, alpha1, alpha2, th2):
     With p = 2*alpha1/m1, q = 2*alpha2/m2 and s = 4*theta^2*alpha1*alpha2,
     b = p + q + s and c = p*q, so D = (p - q)^2 + s*(2p + 2q + s): a sum of
     nonnegative terms, which neither cancels nor goes negative near the
-    degenerate point p = q, s = 0.
+    degenerate point p = q, s = 0.  ``mode_spectrum`` checks the range
+    only after this runs, so no step may raise ``OverflowError``: the float
+    factors turn int inputs into floats, which give inf past the range,
+    and (p - q) * (p - q) avoids the float ``**``, which raises.
     """
-    p = 2 * alpha1 / m1
-    q = 2 * alpha2 / m2
-    s = th2 * alpha1 * alpha2 * 4
-    return p, q, (p - q) ** 2 + s * (2 * p + 2 * q + s)
+    p = 2.0 * alpha1 / m1
+    q = 2.0 * alpha2 / m2
+    s = th2 * alpha1 * alpha2 * 4.0
+    return p, q, (p - q) * (p - q) + s * (2 * p + 2 * q + s)
 
 
 def _mode_frequencies(b, p, q, d, xp):
@@ -206,24 +209,27 @@ def mode_spectrum(params: OscillatorParams) -> ModeSpectrum:
     p = params
     th2 = p.theta * p.theta
     b = _quartic_b(p.alpha1, p.alpha2, th2, bopp_shift(p))
-    if not math.isfinite(b * b):
-        raise _b_overflow(b, params)
     pp, qq, d = _quartic_p_q_d(p.m1, p.m2, p.alpha1, p.alpha2, th2)
     try:
         sigma1, sigma2 = _mode_frequencies(b, pp, qq, d, _FLOAT_OPS)
-    except ZeroDivisionError:
-        raise _underflow("sigma1", params) from None
-    if sigma2 == 0:
-        raise _underflow("sigma2", params)
+    except ZeroDivisionError:  # sigma1 underflowed to 0
+        sigma1 = sigma2 = 0.0
+    _require_spectrum(b, sigma1, sigma2, params)
     return tuple.__new__(ModeSpectrum, (b, pp * qq, d, sigma1, sigma2))
 
 
-def _b_overflow(b, params) -> NumericRangeError:
-    return NumericRangeError(f"quartic coefficient b = {b} overflows b^2 for params {params}")
+def _require_spectrum(b, sigma1, sigma2, params) -> None:
+    """Raise ``NumericRangeError`` where b^2 overflows or sigma2 is not positive.
 
-
-def _underflow(sigma, params) -> NumericRangeError:
-    return NumericRangeError(f"mode frequency {sigma} underflows to 0 for params {params}")
+    sigma2 is never above sigma1, and where sigma1 underflows to 0 it is 0
+    or NaN, so its test covers both frequencies; the message names sigma1
+    where that is the one that underflowed.
+    """
+    if not math.isfinite(b * b):  # b * b: inf, not OverflowError
+        raise NumericRangeError(f"quartic coefficient b = {b} overflows b^2 for params {params}")
+    if not sigma2 > 0:
+        name = "sigma2" if sigma1 > 0 else "sigma1"
+        raise NumericRangeError(f"mode frequency {name} underflows to 0 for params {params}")
 
 
 def energy_level(spectrum: ModeSpectrum, n1: int, n2: int) -> float:
@@ -336,15 +342,16 @@ def es_closed_form(params: OscillatorParams) -> float:
         e_s = _simon(p.m1, p.m2, p.alpha1, p.alpha2, p.theta, _FLOAT_OPS)
     except ZeroDivisionError:  # sqrt(a1 m2) + sqrt(a2 m1) underflowed to 0
         e_s = math.nan
-    if not math.isfinite(e_s):
-        raise _es_range(params)
+    _require_es(e_s, params)
     return e_s
 
 
-def _es_range(params) -> NumericRangeError:
-    return NumericRangeError(
-        f"E_S is not finite: alpha1*m2 or alpha2*m1 leaves the float range for params {params}"
-    )
+def _require_es(e_s, params) -> None:
+    """Raise ``NumericRangeError`` where E_S, or its theta -> infinity limit, is not finite."""
+    if not math.isfinite(e_s):
+        raise NumericRangeError(
+            f"E_S is not finite: alpha1*m2 or alpha2*m1 leaves the float range for params {params}"
+        )
 
 
 def entanglement_columns(m1, m2, alpha1, alpha2, theta) -> dict[str, np.ndarray]:
@@ -353,8 +360,9 @@ def entanglement_columns(m1, m2, alpha1, alpha2, theta) -> dict[str, np.ndarray]
     The inputs broadcast against each other.  Each row is what
     ``es_closed_form``, ``entanglement_of_formation`` and ``mode_spectrum``
     give for ``OscillatorParams(m1, m2, alpha1, alpha2, theta)``: the same
-    closed forms, the same checks and the same typed errors, raised for
-    the whole call if any row fails a check.
+    closed forms, with the same range checks.  If any row fails one, the
+    whole call raises the error that the scalar chain, ``mode_spectrum``
+    then ``es_closed_form``, raises for the first such row.
     """
     import numpy as np
 
@@ -366,30 +374,23 @@ def entanglement_columns(m1, m2, alpha1, alpha2, theta) -> dict[str, np.ndarray]
     OscillatorParams(*(float(v.max()) for v in cols))
     m1, m2, alpha1, alpha2, theta = cols
 
-    def row(mask) -> OscillatorParams:
-        i = int(np.argmax(mask))
-        return OscillatorParams(*(float(v[i]) for v in cols))
-
-    # Overflow and 0*inf are caught by the checks below or reach the output
-    # as they do on the float path, which never warns.
+    # Overflow, 0*inf and E_F's 0*log1p(inf) at Omega = 1/2 are caught by
+    # the checks below, or reach the output as they do on the float path,
+    # which never warns.
     with np.errstate(all="ignore"):
         th2 = theta * theta
-        canon = _canonical(m1, m2, alpha1, alpha2, th2)
-        b = _quartic_b(alpha1, alpha2, th2, canon)
-        overflow = ~np.isfinite(b * b)
-        if overflow.any():
-            raise _b_overflow(b[overflow][0], row(overflow))
-        p, q, d = _quartic_p_q_d(m1, m2, alpha1, alpha2, th2)
-        sigma1, sigma2 = _mode_frequencies(b, p, q, d, np)
-        for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
-            underflow = sigma == 0
-            if underflow.any():
-                raise _underflow(name, row(underflow))
+        b = _quartic_b(alpha1, alpha2, th2, _canonical(m1, m2, alpha1, alpha2, th2))
+        sigma1, sigma2 = _mode_frequencies(b, *_quartic_p_q_d(m1, m2, alpha1, alpha2, th2), np)
         e_s = _simon(m1, m2, alpha1, alpha2, theta, np)
-        nonfinite = ~np.isfinite(e_s)
-        if nonfinite.any():
-            raise _es_range(row(nonfinite))
-        omega, e_f = gaussian.formation_columns(e_s)
+        bad = ~(np.isfinite(b * b) & (sigma2 > 0) & np.isfinite(e_s))
+        if bad.any():
+            # The checks' conditions cover this mask, so one of them raises.
+            i = int(np.argmax(bad))
+            params = OscillatorParams(*(float(v[i]) for v in cols))
+            _require_spectrum(float(b[i]), float(sigma1[i]), float(sigma2[i]), params)
+            _require_es(float(e_s[i]), params)
+        omega = np.sqrt(0.25 - e_s)
+        e_f = np.where(omega - 0.5 < gaussian.OMEGA_LIMIT_GUARD, 0.0, gaussian._formation(omega, np))
     return {"e_s": e_s, "omega": omega, "e_f": e_f, "sigma1": sigma1, "sigma2": sigma2}
 
 
@@ -413,8 +414,7 @@ def asymptotic_bounds(params: OscillatorParams) -> AsymptoticBounds:
         e_s_limit = -d * d / 16  # d*d: inf, not OverflowError, past the range
     except ZeroDivisionError:  # x or y underflowed to 0
         e_s_limit = math.nan
-    if not math.isfinite(e_s_limit):
-        raise _es_range(params)
+    _require_es(e_s_limit, params)
     omega0, e_f_bound = gaussian.entanglement_of_formation(e_s_limit)
     return tuple.__new__(AsymptoticBounds, (e_s_limit, omega0, e_f_bound))
 

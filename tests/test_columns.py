@@ -6,17 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncho import (
     DomainError,
+    NchoError,
     NumericRangeError,
     OscillatorParams,
     entanglement_columns,
     entanglement_of_formation,
     es_closed_form,
-    formation_columns,
     mode_spectrum,
 )
 
@@ -40,17 +40,56 @@ def scalar_row(p: OscillatorParams) -> dict:
     return dict(sigma1=spec.sigma1, sigma2=spec.sigma2, e_s=e_s, omega=omega, e_f=e_f)
 
 
+def assert_row_matches(cols, i, want, point):
+    # The same float operations on both paths; only numpy's log can differ
+    # from math.log by an ulp.
+    for k in ("sigma1", "sigma2", "e_s", "omega"):
+        assert cols[k][i] == want[k], (k, point)
+    assert cols["e_f"][i] == pytest.approx(want["e_f"], rel=1e-14, abs=0), point
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(rows)
 def test_columns_match_scalar_path(points):
     cols = entanglement_columns(*np.array(points).T)
     for i, point in enumerate(points):
-        want = scalar_row(OscillatorParams(*point))
-        for k in COLUMNS:
-            assert cols[k][i] == pytest.approx(want[k], rel=1e-14, abs=0), (k, point)
+        assert_row_matches(cols, i, scalar_row(OscillatorParams(*point)), point)
         m1, m2, a1, a2, theta = point
         if theta == 0 or a1 * m2 == a2 * m1:
             assert cols["e_s"][i] == 0 and cols["e_f"][i] == 0, point
+
+
+# All five inputs log-uniform over 1e-150...1e150, where b^2 overflows on
+# about two rows in five.
+wide = st.floats(math.log(1e-150), math.log(1e150)).map(math.exp)
+wide_rows = st.lists(st.tuples(wide, wide, wide, wide, wide), min_size=1, max_size=8)
+
+# Row 0's sigma2 underflows (p = 2 alpha1/m1 rounds to 0) and row 1's b^2
+# overflows: the scalar chain meets row 0 first.
+FIRST_ROW_UNDERFLOWS = [(4e201, 7e148, 6e-126, 3e-294, 1e107), (1.0, 1.0, 5.0, 10.0, 1e76)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(wide_rows)
+@example(FIRST_ROW_UNDERFLOWS)
+def test_columns_raise_the_first_failing_rows_scalar_error(points):
+    wants = []
+    for point in points:
+        try:
+            wants.append(scalar_row(OscillatorParams(*point)))
+        except NchoError as exc:
+            with pytest.raises(type(exc)) as got:
+                entanglement_columns(*np.array(points).T)
+            assert str(got.value) == str(exc), points
+            return
+    cols = entanglement_columns(*np.array(points).T)
+    for i, (point, want) in enumerate(zip(points, wants)):
+        assert_row_matches(cols, i, want, point)
+
+
+def test_first_failing_row_decides_the_error():
+    with pytest.raises(NumericRangeError, match="sigma2 underflows.*m1=4e"):
+        entanglement_columns(*np.array(FIRST_ROW_UNDERFLOWS).T)
 
 
 def exact_d_sigma1(m1, m2, alpha1, alpha2, theta):
@@ -137,8 +176,3 @@ def test_underflowing_sigma2_raises_numeric_range_error():
     with pytest.raises(NumericRangeError, match="sigma2 underflows.*m1=4e"):
         entanglement_columns(np.array([1.0, 4e201]), np.array([1.0, 7e148]),
                              np.array([5.0, 6e-126]), np.array([10.0, 3e-294]), np.array([1.0, 1e107]))
-
-
-def test_positive_e_s_rejected():
-    with pytest.raises(DomainError, match="E_S = 1e-09 > 0"):
-        formation_columns(np.array([-0.1, 1e-9]))

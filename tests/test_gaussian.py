@@ -13,7 +13,6 @@ from ncho import (
     TwoModeGaussian,
     covariance_blocks,
     entanglement_of_formation,
-    formation_columns,
     simon_es,
 )
 from ncho.gaussian import _formation
@@ -258,5 +257,3 @@ class TestEntanglementOfFormation:
     def test_non_finite_input_rejected(self, bad):
         with pytest.raises(DomainError, match="is not finite"):
             entanglement_of_formation(bad)
-        with pytest.raises(DomainError, match="is not finite"):
-            formation_columns(np.array([-0.1, bad]))

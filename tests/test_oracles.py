@@ -66,6 +66,16 @@ class TestGridSpec:
         with pytest.raises(GridConfigurationError, match="positive and finite"):
             GridSpec(extent=extent)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"extent": 10**5000}, {"extent": -(10**5000)}, {"points_per_axis": -(10**5000)}],
+        ids=["huge_extent", "huge_negative_extent", "huge_negative_points"],
+    )
+    def test_int_too_long_to_print_rejected(self, kwargs):
+        # The message names such an int instead of formatting its 5001 digits.
+        with pytest.raises(GridConfigurationError, match="an int beyond the float range"):
+            GridSpec(**kwargs)
+
     def test_non_integer_points_rejected(self):
         with pytest.raises(GridConfigurationError, match="an integer"):
             GridSpec(points_per_axis=257.0)
