@@ -17,6 +17,7 @@ array path ``oscillator.entanglement_columns`` passes numpy to
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .errors import DomainError, NumericRangeError
@@ -24,23 +25,51 @@ from .errors import DomainError, NumericRangeError
 #: Below this distance of Omega from 1/2 the x*ln(x) limit branch is taken.
 OMEGA_LIMIT_GUARD = 1e-15
 
+_HUGE = sys.float_info.max
+
+
+def _number(v, kind):
+    """kind(v) for kind float or complex; NaN for text (kind would parse it), an int beyond
+    the float range (kind would round one just beyond into it) and what kind refuses."""
+    if isinstance(v, (str, bytes, bytearray, memoryview)) or (
+        isinstance(v, int) and not -_HUGE <= v <= _HUGE
+    ):
+        return math.nan
+    try:
+        return kind(v)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _shown(v):
+    """V as an error message shows it: an int beyond the float range, which
+    can have too many digits to print, is named instead."""
+    if isinstance(v, int) and not -_HUGE <= v <= _HUGE:
+        return "an int beyond the float range"
+    return v
+
 
 class TwoModeGaussian(namedtuple("TwoModeGaussian", "alpha beta gamma")):
     """Exponent coefficients of a normalized two-mode Gaussian.
 
-    Requires finite real and imaginary parts, Re(alpha) > 0, Re(beta) > 0
-    and Re(alpha)*Re(beta) - Re(gamma)^2 > 0 so the state is square
-    integrable.  Where Re(gamma) = 0, as for every closed-form ground
-    state, the second and third imply the fourth, and the product, which
-    can underflow to 0 for a valid state, is not formed.
+    The constructor stores each coefficient as a Python complex, from any
+    number (numpy scalars, ``Fraction`` and ``Decimal`` included); strings
+    and ints beyond the float range are refused.  It requires finite parts,
+    Re(alpha) > 0, Re(beta) > 0 and Re(alpha)*Re(beta) - Re(gamma)^2 > 0
+    so the state is square integrable.  Where Re(gamma) = 0, as for every
+    closed-form ground state (whose real alpha and beta stay floats), the
+    second and third imply the fourth, and the product, which can
+    underflow to 0 for a valid state, is not formed.
     """
 
     __slots__ = ()
 
     def __new__(cls, alpha, beta, gamma):
-        self = tuple.__new__(cls, (alpha, beta, gamma))
-        if not all(abs(v.real) < math.inf and abs(v.imag) < math.inf for v in self):
-            raise DomainError(f"coefficients must be finite, got {self}")
+        self = tuple.__new__(cls, (_number(v, complex) for v in (alpha, beta, gamma)))
+        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in self):
+            shown = ", ".join(f"{k}={_shown(v)}" for k, v in zip(cls._fields, (alpha, beta, gamma)))
+            raise DomainError(f"coefficients must be finite, got {cls.__name__}({shown})")
+        alpha, beta, gamma = self
         if not (alpha.real > 0):
             raise DomainError(f"Re(alpha) > 0 violated: Re(alpha) = {alpha.real}")
         if not (beta.real > 0):
@@ -55,7 +84,8 @@ class TwoModeGaussian(namedtuple("TwoModeGaussian", "alpha beta gamma")):
     @property
     def delta_sq(self) -> float:
         """Re(alpha)*Re(beta) - Re(gamma)^2, the squared width determinant."""
-        return self.alpha.real * self.beta.real - self.gamma.real**2
+        g = self.gamma.real
+        return self.alpha.real * self.beta.real - g * g  # g * g: inf, not OverflowError
 
 
 class CovarianceBlocks(namedtuple("CovarianceBlocks", "a_block b_block c_block")):

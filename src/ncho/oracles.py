@@ -71,7 +71,7 @@ class GridSpec:
         # An int of too many digits to print is named, not formatted.
         if not 0 < self.extent <= sys.float_info.max:
             raise GridConfigurationError(
-                f"extent must be positive and finite, got {oscillator._shown(self.extent)}"
+                f"extent must be positive and finite, got {gaussian._shown(self.extent)}"
             )
         try:
             enough = operator.index(self.points_per_axis) >= MIN_POINTS_PER_AXIS
@@ -80,7 +80,7 @@ class GridSpec:
         if not enough:
             raise GridConfigurationError(
                 f"points_per_axis must be an integer >= {MIN_POINTS_PER_AXIS} "
-                f"(got {oscillator._shown(self.points_per_axis)!r}); below that the "
+                f"(got {gaussian._shown(self.points_per_axis)!r}); below that the "
                 "discretization error dominates any physical signal"
             )
 

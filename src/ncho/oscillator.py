@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from . import gaussian
 from .errors import DomainError, NumericRangeError
-from .gaussian import TwoModeGaussian
+from .gaussian import _HUGE, TwoModeGaussian, _number, _shown
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,44 +42,39 @@ _FLOAT_OPS = SimpleNamespace(
     maximum=lambda a, b: b if b > a else a,
 )
 
-#: The smallest and largest positive normal floats; below the first a
-#: quotient loses precision.
-_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+#: The smallest positive normal float; below it a quotient loses precision.
+_TINY = sys.float_info.min
 
 
 class OscillatorParams(namedtuple("OscillatorParams", "m1 m2 alpha1 alpha2 theta")):
     """Physical inputs: masses, potential stiffnesses and the deformation.
 
     The stiffnesses enter the Hamiltonian as alpha_i * X_i^2, i.e.
-    alpha_i = m_i * omega_i^2 / 2 for the commutative oscillator.
+    alpha_i = m_i * omega_i^2 / 2 for the commutative oscillator.  Each field
+    is stored as a Python float, from a float, int, ``Fraction``, ``Decimal``
+    or numpy scalar; strings and ints beyond the float range are refused.
     """
 
     __slots__ = ()
 
     def __new__(cls, m1, m2, alpha1, alpha2, theta):
-        # One chained comparison checks every field.  NaN fails it, and so
-        # does an int beyond the float range, which math.isfinite would
-        # reject with OverflowError; the loop below only builds the message.
+        given = (m1, m2, alpha1, alpha2, theta)
+        # Five floats, as the package passes, need no conversion.  The type test comes
+        # first: NEP 50 would compare a numpy float32 with _HUGE in float32, and warn.
+        if not type(m1) is type(m2) is type(alpha1) is type(alpha2) is type(theta) is float:
+            m1, m2, alpha1, alpha2, theta = map(_number, given, [float] * 5)  # NaN fails below
         if (
             0 < m1 <= _HUGE and 0 < m2 <= _HUGE and 0 < alpha1 <= _HUGE
             and 0 < alpha2 <= _HUGE and 0 <= theta <= _HUGE
         ):
             return tuple.__new__(cls, (m1, m2, alpha1, alpha2, theta))
-        for name, v in (("m1", m1), ("m2", m2), ("alpha1", alpha1), ("alpha2", alpha2)):
-            if not (0 < v <= _HUGE):
+        for name, v, f in zip(cls._fields, given, (m1, m2, alpha1, alpha2)):
+            if not (0 < f <= _HUGE):
                 raise DomainError(f"{name} must be positive and finite, got {_shown(v)}")
-        raise DomainError(f"theta must be nonnegative and finite, got {_shown(theta)}")
+        raise DomainError(f"theta must be nonnegative and finite, got {_shown(given[4])}")
 
     # namedtuple's own _make, which _replace calls, would skip these checks.
     _make = classmethod(lambda cls, values: cls(*values))
-
-
-def _shown(v):
-    """V as an error message shows it: an int beyond the float range, which
-    can have too many digits to print, is named instead."""
-    if isinstance(v, int) and not -_HUGE <= v <= _HUGE:
-        return "an int beyond the float range"
-    return v
 
 
 # The functions below build these results by position with tuple.__new__;
@@ -177,9 +172,8 @@ def _quartic_p_q_d(m1, m2, alpha1, alpha2, th2):
     b = p + q + s and c = p*q, so D = (p - q)^2 + s*(2p + 2q + s): a sum of
     nonnegative terms, which neither cancels nor goes negative near the
     degenerate point p = q, s = 0.  ``mode_spectrum`` checks the range
-    only after this runs, so no step may raise ``OverflowError``: the float
-    factors turn int inputs into floats, which give inf past the range,
-    and (p - q) * (p - q) avoids the float ``**``, which raises.
+    only after this runs, so no step may raise ``OverflowError``:
+    (p - q) * (p - q) gives inf past the range, where the float ``**`` raises.
     """
     p = 2.0 * alpha1 / m1
     q = 2.0 * alpha2 / m2
@@ -370,8 +364,8 @@ def entanglement_columns(m1, m2, alpha1, alpha2, theta) -> dict[str, np.ndarray]
     cols = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1) for v in inputs))
     # Each input's valid set is an interval, so checking the column minima
     # and maxima checks every row; a NaN reaches both.
-    OscillatorParams(*(float(v.min()) for v in cols))
-    OscillatorParams(*(float(v.max()) for v in cols))
+    OscillatorParams(*(v.min() for v in cols))
+    OscillatorParams(*(v.max() for v in cols))
     m1, m2, alpha1, alpha2, theta = cols
 
     # Overflow, 0*inf and E_F's 0*log1p(inf) at Omega = 1/2 are caught by
@@ -386,7 +380,7 @@ def entanglement_columns(m1, m2, alpha1, alpha2, theta) -> dict[str, np.ndarray]
         if bad.any():
             # The checks' conditions cover this mask, so one of them raises.
             i = int(np.argmax(bad))
-            params = OscillatorParams(*(float(v[i]) for v in cols))
+            params = OscillatorParams(*(v[i] for v in cols))
             _require_spectrum(float(b[i]), float(sigma1[i]), float(sigma2[i]), params)
             _require_es(float(e_s[i]), params)
         omega = np.sqrt(0.25 - e_s)

@@ -30,7 +30,14 @@ power_of_two = st.integers(-3, 3).map(lambda k: 2.0**k)
 separable = st.tuples(power_of_two, power_of_two, log_uniform, log_uniform).map(
     lambda t: (t[0], t[1], t[2] * t[0], t[2] * t[1], t[3])
 )
-rows = st.lists(st.one_of(generic, commutative, separable), min_size=1, max_size=40)
+# Ints up to 1e25, most of them not exact floats.  Both paths must round
+# each input to a float first: an exact int product differs from the
+# product of the rounded floats.
+big_int = st.integers(1, 10**25)
+integral = st.tuples(big_int, big_int, big_int, big_int, st.integers(0, 10**25))
+rows = st.lists(st.one_of(generic, commutative, separable, integral), min_size=1, max_size=40)
+# theta = 2**53 + 1 is no float, and its exact square does not round to float(theta)**2.
+INT_THETA = [(3, 1, 5, 7, 2**53 + 1)]
 
 
 def scalar_row(p: OscillatorParams) -> dict:
@@ -50,11 +57,12 @@ def assert_row_matches(cols, i, want, point):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(rows)
+@example(INT_THETA)
 def test_columns_match_scalar_path(points):
     cols = entanglement_columns(*np.array(points).T)
     for i, point in enumerate(points):
         assert_row_matches(cols, i, scalar_row(OscillatorParams(*point)), point)
-        m1, m2, a1, a2, theta = point
+        m1, m2, a1, a2, theta = map(float, point)
         if theta == 0 or a1 * m2 == a2 * m1:
             assert cols["e_s"][i] == 0 and cols["e_f"][i] == 0, point
 

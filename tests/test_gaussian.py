@@ -53,6 +53,11 @@ class TestNormalization:
         with pytest.raises(DomainError, match="must be finite"):
             state._replace(**{name: value})
 
+    def test_large_real_gamma_rejected(self):
+        # Re(gamma)^2 leaves the float range, where the float ** raises OverflowError.
+        with pytest.raises(DomainError, match="Re\\(alpha\\)\\*Re\\(beta\\)"):
+            TwoModeGaussian(1, 1, 1e200)
+
 
 class TestCovarianceBlocks:
     def test_product_ground_state(self):
