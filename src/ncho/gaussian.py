@@ -43,9 +43,12 @@ def _number(v, kind):
 
 def _shown(v):
     """V as an error message shows it: an int beyond the float range, which
-    can have too many digits to print, is named instead."""
-    if isinstance(v, int) and not -_HUGE <= v <= _HUGE:
-        return "an int beyond the float range"
+    can have too many digits to print, is named instead, and so is a ratio
+    (a ``Fraction``) with such an int as numerator or denominator."""
+    parts = getattr(v, "numerator", None), getattr(v, "denominator", None)
+    if any(isinstance(n, int) and not -_HUGE <= n <= _HUGE for n in parts):
+        what = "an int" if isinstance(v, int) else f"a {type(v).__name__} with a numerator or denominator"
+        return f"{what} beyond the float range"
     return v
 
 
@@ -55,11 +58,12 @@ class TwoModeGaussian(namedtuple("TwoModeGaussian", "alpha beta gamma")):
     The constructor stores each coefficient as a Python complex, from any
     number (numpy scalars, ``Fraction`` and ``Decimal`` included); strings
     and ints beyond the float range are refused.  It requires finite parts,
-    Re(alpha) > 0, Re(beta) > 0 and Re(alpha)*Re(beta) - Re(gamma)^2 > 0
-    so the state is square integrable.  Where Re(gamma) = 0, as for every
-    closed-form ground state (whose real alpha and beta stay floats), the
-    second and third imply the fourth, and the product, which can
-    underflow to 0 for a valid state, is not formed.
+    Re(alpha) > 0, Re(beta) > 0 and Re(gamma)^2 < Re(alpha)*Re(beta) so
+    the state is square integrable.  The last is tested as |kappa| < 1 for
+    the correlation kappa = (Re(gamma)/sqrt(Re(alpha)))/sqrt(Re(beta)),
+    which ``covariance_blocks`` divides by 1 - kappa^2: no product of the
+    coefficients, which can overflow or underflow for a valid state, is
+    formed.
     """
 
     __slots__ = ()
@@ -74,18 +78,15 @@ class TwoModeGaussian(namedtuple("TwoModeGaussian", "alpha beta gamma")):
             raise DomainError(f"Re(alpha) > 0 violated: Re(alpha) = {alpha.real}")
         if not (beta.real > 0):
             raise DomainError(f"Re(beta) > 0 violated: Re(beta) = {beta.real}")
-        if gamma.real != 0 and not (self.delta_sq > 0):
-            raise DomainError(f"Re(alpha)*Re(beta) - Re(gamma)^2 > 0 violated: got {self.delta_sq}")
+        kappa = gamma.real / math.sqrt(alpha.real) / math.sqrt(beta.real)
+        if not abs(kappa) < 1:
+            raise DomainError(
+                f"Re(gamma)^2 < Re(alpha)*Re(beta) violated: Re(gamma)/sqrt(Re(alpha)*Re(beta)) = {kappa}"
+            )
         return self
 
     # namedtuple's own _make, which _replace calls, would skip these checks.
     _make = classmethod(lambda cls, values: cls(*values))
-
-    @property
-    def delta_sq(self) -> float:
-        """Re(alpha)*Re(beta) - Re(gamma)^2, the squared width determinant."""
-        g = self.gamma.real
-        return self.alpha.real * self.beta.real - g * g  # g * g: inf, not OverflowError
 
 
 class CovarianceBlocks(namedtuple("CovarianceBlocks", "a_block b_block c_block")):
@@ -127,18 +128,14 @@ def covariance_blocks(state: TwoModeGaussian) -> CovarianceBlocks:
     the momentum moments are P = Re(A)/2 + Im(A) X Im(A) = Re(A)/2 - Im(A) M.
     X is written through the correlation kappa = (Re(gamma)/sqrt(Re(alpha)))
     / sqrt(Re(beta)), so Re(alpha)*Re(beta), which can underflow for a
-    valid state, is never formed.  Raises ``NumericRangeError`` where
-    |kappa| rounds to 1, which would make X singular.
+    valid state, is never formed; the state's constructor holds |kappa| < 1,
+    so X is not singular.
     """
     a1, a2 = state.alpha.real, state.alpha.imag
     b1, b2 = state.beta.real, state.beta.imag
     g1, g2 = state.gamma.real, state.gamma.imag
     ra, rb = math.sqrt(a1), math.sqrt(b1)
     kappa = g1 / ra / rb
-    if not abs(kappa) < 1:
-        raise NumericRangeError(
-            f"Re(gamma)^2 rounds to Re(alpha)*Re(beta): the position covariance is singular for {state}"
-        )
     e = (1 - kappa) * (1 + kappa)  # Re(alpha)*Re(beta) - Re(gamma)^2, over Re(alpha)*Re(beta)
 
     x1x1 = 0.5 / a1 / e

@@ -13,12 +13,14 @@ without sharing code paths with them:
 Both grid oracles take the state as a ``TwoModeGaussian`` and work on
 states whose |psi| separates (the cross coefficient gamma is purely
 imaginary, as in every closed-form ground state), in factored form with
-O(N) memory; any other state raises ``DomainError``.  Each grid oracle
-treats both axes in one pass of (2, N) arrays.  The residual takes one
-thin QR and one cross phase that both axes share; the moment sums size
-each axis from the width of its own factor of |psi|^2.  numpy forms only
-the axis sums: the 2x2 step from them to the moments, and their
-comparison with the closed form, run on plain floats.  ``run_validation``
+O(N) memory; any other state raises ``DomainError``.  The residual
+treats both axes in one pass of (2, N) arrays, fills its (6, N) row and
+column factors in place, and takes one thin QR and one cross phase that
+both axes share.  The moment sums size each axis from the width of its
+own factor of |psi|^2; in those units each axis sum is a constant of the
+grid, summed once per grid, so per state the moments and their
+comparison with the closed form are 2x2 algebra on plain floats, with no
+numpy call.  ``run_validation``
 bundles the oracles on the default grid, together with a check of the
 closed-form E_S against the pure-state identity, into a single report.
 
@@ -57,9 +59,10 @@ class GridSpec:
     (1/sqrt of a real diagonal exponent coefficient: the smaller one for
     both residual axes, each axis's own for the moment sums); the physical
     spacing follows once a concrete state fixes that length.  The unit
-    axis, ``linspace(-extent, extent, points_per_axis)``, is computed once
-    per grid; ``axis`` scales it into a new array on every call, so the
-    endpoints are exactly +-extent times the length.
+    axis u = ``linspace(-extent, extent, points_per_axis)`` and its sums
+    sum u^a exp(-u^2), a = 0, 1, 2, are computed once per grid; ``axis``
+    scales u into a new array on every call, so the endpoints are exactly
+    +-extent times the length.
     """
 
     extent: float = 8.0
@@ -90,10 +93,19 @@ class GridSpec:
 
         return np.linspace(-self.extent, self.extent, self.points_per_axis)
 
+    @cached_property
+    def _unit_sums(self) -> tuple[float, float, float]:
+        """sum u^a exp(-u^2) over the unit axis u, for a = 0, 1, 2."""
+        import numpy as np
+
+        u = self._unit_axis
+        w = np.exp(-u * u)
+        return tuple(np.array((w, u * w, u * u * w)).sum(axis=-1).tolist())
+
     def axis(self, char_length: float) -> tuple[np.ndarray, float]:
         """Physical grid axis and spacing for a given characteristic length."""
         x = self._unit_axis * char_length
-        return x, x[1] - x[0]
+        return x, float(x[1] - x[0])
 
 
 # Each check passes only below its limit.  The Schrodinger limit reflects
@@ -158,7 +170,7 @@ def _residual_axis(state: TwoModeGaussian, grid: GridSpec) -> tuple[np.ndarray, 
     if grid.extent < MIN_RESIDUAL_EXTENT:
         raise GridConfigurationError(
             f"grid extent must be >= {MIN_RESIDUAL_EXTENT} characteristic lengths "
-            f"for a trustworthy residual, got {grid.extent}"
+            f"for a trustworthy residual, got {gaussian._shown(grid.extent)}"
         )
     return grid.axis(1.0 / math.sqrt(min(state.alpha.real, state.beta.real)))
 
@@ -198,24 +210,25 @@ def schrodinger_residual(params: OscillatorParams, state: TwoModeGaussian, grid:
     own = np.exp(np.array(((-0.5 * state.alpha,), (-0.5 * state.beta,))) * x2)
     turn = np.exp(-1j * (state.gamma.imag * h) * x)  # exp(-gamma h x), as Re gamma = 0
     plus, minus = own * turn, own * turn.conj()
-    # Per axis, the envelope at the next and at the previous point, 0 off
-    # the grid (the stencil's zero padding).
-    shifted = np.zeros((2, 2, x.size), own.dtype)
-    shifted[:, 0, :-1], shifted[:, 1, 1:] = own[:, 1:], own[:, :-1]
     kin1, kin2 = -0.5 / (canon.big_m1 * h * h), -0.5 / (canon.big_m2 * h * h)
     # -theta*(a1 x1 p2 - a2 x2 p1) with p = -i d/dx
     drift1 = 0.5j * params.theta * params.alpha1 / h * x
     drift2 = 0.5j * params.theta * params.alpha2 / h * x
     diag1 = 0.5 * canon.big_m1 * canon.omega1_sq * x2 - (2 * kin1 + 2 * kin2 + e00)
     pot2 = 0.5 * canon.big_m2 * canon.omega2_sq * x2
-    # The terms in psi(x1 +- h, x2), psi(x1, x2 +- h) and psi(x1, x2).
-    rows = np.array(
-        (*shifted[0], plus[0] * (kin2 + drift1), minus[0] * (kin2 - drift1), own[0] * diag1, own[0])
-    ).T
-    cols = np.array(
-        (plus[1] * (kin1 - drift2), minus[1] * (kin1 + drift2), *shifted[1], own[1], pot2 * own[1])
-    )
-    core = np.linalg.qr(rows, mode="r") @ cols
+    # The terms in psi(x1 +- h, x2), psi(x1, x2 +- h) and psi(x1, x2).  A
+    # shifted envelope is the one at the next or the previous point, 0 off
+    # the grid (the stencil's zero padding).
+    rows, cols = np.zeros((2, 6, x.size), complex)
+    rows[0, :-1], rows[1, 1:], rows[5] = own[0, 1:], own[0, :-1], own[0]
+    np.multiply(plus[0], kin2 + drift1, out=rows[2])
+    np.multiply(minus[0], kin2 - drift1, out=rows[3])
+    np.multiply(own[0], diag1, out=rows[4])
+    np.multiply(plus[1], kin1 - drift2, out=cols[0])
+    np.multiply(minus[1], kin1 + drift2, out=cols[1])
+    cols[2, :-1], cols[3, 1:], cols[4] = own[1, 1:], own[1, :-1], own[1]
+    np.multiply(pot2, own[1], out=cols[5])
+    core = np.linalg.qr(rows.T, mode="r") @ cols
     residual_sq = np.vdot(core, core).real
     psi_norm_sq = np.vdot(own[0], own[0]).real * np.vdot(own[1], own[1]).real
     if not psi_norm_sq > 0:
@@ -236,26 +249,24 @@ def gaussian_moment_quadrature(state: TwoModeGaussian, grid: GridSpec) -> gaussi
     position moments X.  All of them follow from the sums S_ab = sum x1^a
     x2^b |psi|^2.  Re(gamma) = 0, as for every closed-form ground state, so
     |psi|^2 = exp(-Re(alpha) x1^2) exp(-Re(beta) x2^2) separates and S is
-    the outer product of its factors' axis sums, O(N) work and memory, for
-    both axes in one pass over (2, N) arrays.
+    the outer product of its factors' axis sums.
     Each sum only has to resolve its own factor, so axis k spans
-    ``grid.extent`` of that factor's lengths 1/sqrt(Re(A_kk)): 16 points per
-    length on the default grid whatever the state, where the trapezoid sums
-    of a Gaussian converge exponentially.  Raises ``DomainError`` where
-    Re(gamma) != 0.
+    ``grid.extent`` of that factor's lengths L_k = 1/sqrt(Re(A_kk)): 16
+    points per length on the default grid whatever the state, where the
+    trapezoid sums of a Gaussian converge exponentially.  On the grid's unit
+    axis u, axis k is L_k u and its weight exp(-Re(A_kk) x^2) is exp(-u^2)
+    up to rounding, so its sums are L_k^a sum u^a exp(-u^2): three
+    constants of the grid, which it sums once.  Per state the oracle is 2x2
+    algebra on plain floats, with no numpy call.  Raises ``DomainError``
+    where Re(gamma) != 0.
     """
-    import numpy as np
-
     _require_separable(state)
-    coeff = np.array(((state.alpha.real,), (state.beta.real,)))
-    x = grid._unit_axis * (1.0 / np.sqrt(coeff))  # grid.axis of each length, as rows
-    w = np.exp(-coeff * x * x)
-    xw = x * w
-    # sum x^a exp(-Re(A_kk) x^2) for a = 0, 1, 2, one column per axis; the
-    # rest is 2x2 algebra on plain floats, with S_ab = u_a v_b.
-    (u0, v0), (u1, v1), (u2, v2) = np.array((w, xw, xw * x)).sum(axis=-1).tolist()
-    s00 = u0 * v0
-    pos = ((u2 * v0 / s00, u1 * v1 / s00), (u1 * v1 / s00, u0 * v2 / s00))
+    # <x_j x_k> = S_jk/S_00 scales the unit moments u_a = sum u^a exp(-u^2)/sum exp(-u^2).
+    s0, s1, s2 = grid._unit_sums
+    u1, u2 = s1 / s0, s2 / s0
+    l1, l2 = 1 / math.sqrt(state.alpha.real), 1 / math.sqrt(state.beta.real)
+    x12 = (l1 * u1) * (l2 * u1)
+    pos = ((l1 * (l1 * u2), x12), (x12, l2 * (l2 * u2)))  # no L_k^2 is formed: it can overflow
     a = ((state.alpha, state.gamma), (state.gamma, state.beta))
     r = (0, 1)
     xa = [[pos[j][0] * a[0][k] + pos[j][1] * a[1][k] for k in r] for j in r]  # X A, complex
@@ -279,7 +290,11 @@ def moment_max_err(closed: gaussian.CovarianceBlocks, quad: gaussian.CovarianceB
     """
     c, q = ([v for block in blocks for row in block for v in row] for blocks in (closed, quad))
     floor = 1e-3 * max(map(abs, c))
-    errs = [abs(a - b) / max(floor, abs(a)) for a, b in zip(c, q)]  # a NaN floor stays first
+    return _worst([abs(a - b) / max(floor, abs(a)) for a, b in zip(c, q)])  # a NaN floor stays first
+
+
+def _worst(errs: list[float]) -> float:
+    """The largest error; NaN where any is NaN, which ``max`` alone would drop."""
     return math.nan if any(map(math.isnan, errs)) else max(errs)
 
 
@@ -309,10 +324,10 @@ def run_validation(params: OscillatorParams) -> ValidationReport:
     # Inputs far from unit scale can overflow or underflow inside numpy;
     # the finiteness check below reports that once, for every check.
     with np.errstate(all="ignore"):
-        evals = numeric_eigenvalues(oscillator.build_omega_matrix(params))
+        evals = numeric_eigenvalues(oscillator.build_omega_matrix(params)).tolist()
         s1, s2 = spec.sigma1, spec.sigma2  # numeric_eigenvalues' order, as s2 <= s1
-        expected = np.array((-1j * s1, -1j * s2, 1j * s2, 1j * s1))
-        eigen_residual = float((abs(evals - expected) / abs(expected)).max())
+        expected = (-1j * s1, -1j * s2, 1j * s2, 1j * s1)
+        eigen_residual = _worst([abs(z - e) / abs(e) for z, e in zip(evals, expected)])
         schrod = schrodinger_residual(params, state, _DEFAULT_GRID)
         quad_cov = gaussian_moment_quadrature(state, _DEFAULT_GRID)
         moment_err = moment_max_err(gaussian.covariance_blocks(state), quad_cov)

@@ -136,12 +136,21 @@ def build_omega_matrix(params: OscillatorParams) -> np.ndarray:
     """Dynamical matrix of the Heisenberg equations, i*Sigma_y*h.
 
     i*Sigma_y = diag([[0, 1], [-1, 0]], [[0, 1], [-1, 0]]) swaps the rows
-    of h in pairs and negates the second row of each pair.  Adding 0.0
-    turns each -0.0 into +0.0, as the matrix product would.
+    of h (see ``build_h_matrix``) in pairs and negates the second row of
+    each pair.  The 16 entries are written out as one array; a negated
+    entry is 0.0 - v, so that a zero stays +0.0, as the matrix product gives.
     """
-    omega = build_h_matrix(params)[[1, 0, 3, 2]]
-    omega[1::2] *= -1.0
-    return omega + 0.0
+    import numpy as np
+
+    c = bopp_shift(params)
+    ta1 = params.theta * params.alpha1
+    ta2 = params.theta * params.alpha2
+    return np.array((
+        0.0, 1.0 / c.big_m1, ta2, 0.0,
+        0.0 - c.big_m1 * c.omega1_sq, 0.0, 0.0, ta1,
+        0.0 - ta1, 0.0, 0.0, 1.0 / c.big_m2,
+        0.0, 0.0 - ta2, 0.0 - c.big_m2 * c.omega2_sq, 0.0,
+    )).reshape(4, 4)
 
 
 def _char_factors(m1, m2, alpha1, alpha2, canon: CanonicalSystem):

@@ -9,7 +9,6 @@ import pytest
 from ncho import (
     CovarianceBlocks,
     DomainError,
-    NumericRangeError,
     TwoModeGaussian,
     covariance_blocks,
     entanglement_of_formation,
@@ -53,6 +52,19 @@ class TestNormalization:
         with pytest.raises(DomainError, match="must be finite"):
             state._replace(**{name: value})
 
+    def test_kappa_rounding_to_one_rejected(self):
+        # Re(alpha)*Re(beta) - Re(gamma)^2 > 0 in floats, but |kappa| rounds
+        # to 1, where X = Re(A)^-1/2 has no float value.
+        with pytest.raises(DomainError, match="Re\\(alpha\\)\\*Re\\(beta\\)"):
+            TwoModeGaussian(1.0292099090649256, 0.3806400175678625, 0.6259061254433378)
+
+    def test_width_product_beyond_the_float_range_accepted(self):
+        # Re(alpha)*Re(beta) overflows, so Re(alpha)*Re(beta) - Re(gamma)^2
+        # read inf - inf = NaN, but kappa = 1e-100.
+        cov = covariance_blocks(TwoModeGaussian(1e300, 1e300, 1e200))
+        assert all(math.isfinite(v) for block in cov for row in block for v in row)
+        assert cov.a_block[0][0] == pytest.approx(0.5e-300, rel=1e-15)
+
     def test_large_real_gamma_rejected(self):
         # Re(gamma)^2 leaves the float range, where the float ** raises OverflowError.
         with pytest.raises(DomainError, match="Re\\(alpha\\)\\*Re\\(beta\\)"):
@@ -87,13 +99,6 @@ class TestCovarianceBlocks:
         assert cov.b_block[1][1] == pytest.approx(b / 2 + g * g / (2 * a), rel=1e-15)
         assert cov.c_block[0][1] == pytest.approx(-g / (2 * a), rel=1e-15)
         assert cov.c_block[1][0] == pytest.approx(-g / (2 * b), rel=1e-15)
-
-    def test_boundary_state_raises_range_error(self):
-        # Re(alpha)*Re(beta) - Re(gamma)^2 > 0 in floats, so the state is
-        # valid, but |kappa| rounds to 1 and X = Re(A)^-1/2 has no float value.
-        state = TwoModeGaussian(1.0292099090649256, 0.3806400175678625, 0.6259061254433378)
-        with pytest.raises(NumericRangeError, match="covariance is singular"):
-            covariance_blocks(state)
 
     def test_det_a_equals_det_b(self):
         rng = np.random.default_rng(11)
@@ -162,7 +167,7 @@ class TestSimonFunctional:
             state = random_state(rng)
             via_matrix = simon_es(covariance_blocks(state))
             g1, g2 = state.gamma.real, state.gamma.imag
-            closed = -(g1 * g1 + g2 * g2) / (4 * state.delta_sq)
+            closed = -(g1 * g1 + g2 * g2) / (4 * (state.alpha.real * state.beta.real - g1 * g1))
             if abs(closed) < 1e-4:
                 assert via_matrix == pytest.approx(closed, abs=1e-14)
             else:

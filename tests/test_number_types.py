@@ -14,6 +14,8 @@ import pytest
 
 from ncho import (
     DomainError,
+    GridConfigurationError,
+    GridSpec,
     NumericRangeError,
     OscillatorParams,
     TwoModeGaussian,
@@ -77,3 +79,19 @@ def test_complex64_state_gives_the_python_float_of_the_complex128_state():
     e_s = simon_es(covariance_blocks(state))
     assert type(e_s) is float
     assert e_s == simon_es(covariance_blocks(TwoModeGaussian(1, 1.5, 0.25j)))
+
+
+@pytest.mark.parametrize(
+    "error, build",
+    [
+        (DomainError, lambda: OscillatorParams(Fraction(10**5000), 1, 1, 1, 1)),
+        (DomainError, lambda: OscillatorParams(Fraction(1, 10**5000), 1, 1, 1, 1)),
+        (DomainError, lambda: TwoModeGaussian(Fraction(10**5000), 1, 0)),
+        (GridConfigurationError, lambda: GridSpec(extent=Fraction(10**5000))),
+    ],
+    ids=["huge_fraction", "tiny_fraction", "huge_fraction_coefficient", "huge_fraction_extent"],
+)
+def test_fraction_too_long_to_print_is_named(error, build):
+    # A Fraction of more than 4300 digits cannot be formatted; the message names it.
+    with pytest.raises(error, match="a Fraction with a numerator or denominator beyond the float range"):
+        build()

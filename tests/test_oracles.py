@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -326,6 +327,9 @@ class TestSchrodingerResidual:
     def test_narrow_extent_rejected(self):
         with pytest.raises(GridConfigurationError):
             schrodinger_residual(UNIT, unit_state(), GridSpec(4.0, 257))
+        # An extent of 4401-digit terms is named, not formatted.
+        with pytest.raises(GridConfigurationError, match="a Fraction with a numerator"):
+            schrodinger_residual(UNIT, unit_state(), GridSpec(Fraction(10**4400 + 1, 10**4400), 257))
 
 
 def closed_state(p):
@@ -406,6 +410,44 @@ class TestMomentQuadrature:
         state = closed_state(fig1(1.0))
         assert state.gamma.real == 0
         assert traced_peak(gaussian_moment_quadrature, state, GridSpec()) < GRID_BYTES
+
+    def test_no_array_per_state_once_the_grid_is_used(self):
+        # The axis sums are grid constants in unit lengths: once a grid has
+        # summed them, other states make no array (per-state sums peaked at ~30 KB).
+        grid = GridSpec()
+        states = [closed_state(p) for p in validation_box_points(5, 8)]
+        gaussian_moment_quadrature(states[0], grid)
+        tracemalloc.start()
+        try:
+            for state in states[1:]:
+                gaussian_moment_quadrature(state, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048
+
+    @pytest.mark.parametrize("points", [33, 129, 257])
+    def test_matches_per_state_axis_sums(self, points):
+        # The moments from each state's own sums of x^a exp(-Re(A_kk) x^2)
+        # over grid.axis(1/sqrt(Re(A_kk))), and the same 2x2 algebra.
+        grid = GridSpec(8.0, points)
+        for p in validation_box_points(17, 40) + [OscillatorParams(1, 1, 5, 20, 1)]:
+            state = closed_state(p)
+            sums = []
+            for c in (state.alpha.real, state.beta.real):
+                x, _ = grid.axis(1 / math.sqrt(c))
+                w = np.exp(-c * x * x)
+                sums.append([np.sum(x**a * w) for a in range(3)])
+            (u0, u1, u2), (v0, v1, v2) = sums
+            x = np.array([[u2 / u0, u1 * v1 / (u0 * v0)], [u1 * v1 / (u0 * v0), v2 / v0]])
+            a = np.array([[state.alpha, state.gamma], [state.gamma, state.beta]])
+            mixed, mom = -(x @ a).imag, (a.conj() @ x @ a).real
+            summed = CovarianceBlocks(
+                [[x[0, 0], mixed[0, 0]], [mixed[0, 0], mom[0, 0]]],
+                [[x[1, 1], mixed[1, 1]], [mixed[1, 1], mom[1, 1]]],
+                [[x[0, 1], mixed[0, 1]], [mixed[1, 0], mom[0, 1]]],
+            )
+            assert moment_max_err(summed, gaussian_moment_quadrature(state, grid)) < 1e-15
 
     def test_cross_weighted_state_is_rejected(self):
         # A strongly correlated state (kappa = 0.89) and a real cross coefficient.

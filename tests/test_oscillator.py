@@ -175,10 +175,13 @@ class TestQuadraticFormMatrices:
         # i * Sigma_y with Sigma_y = diag(sigma_y, sigma_y); entries are exactly +-1.
         i_sigma_y = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            p = random_params(rng)
-            # i*Sigma_y only moves and negates entries: exact equality expected.
-            assert np.array_equal(build_omega_matrix(p), i_sigma_y @ build_h_matrix(p))
+        for p in [fig1(0.0), fig1(1.0)] + [random_params(rng) for _ in range(50)]:
+            # i*Sigma_y only moves and negates entries: exact equality expected,
+            # down to the sign of each zero (the product gives +0.0).
+            om, product = build_omega_matrix(p), i_sigma_y @ build_h_matrix(p)
+            assert np.array_equal(om, product)
+            assert np.array_equal(np.signbit(om), np.signbit(product))
+            assert not np.signbit(om[om == 0]).any()
 
     def test_unit_commutative_dynamical_matrix(self):
         om = build_omega_matrix(OscillatorParams(1, 1, 0.5, 0.5, 0))
