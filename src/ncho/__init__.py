@@ -8,7 +8,7 @@ use of one of its names below.
 
 from importlib import import_module as _import_module
 
-from .errors import DomainError, GridConfigurationError, NchoError, NumericRangeError
+from .errors import DomainError, NchoError, NumericRangeError
 from .gaussian import (
     CovarianceBlocks,
     TwoModeGaussian,

@@ -6,12 +6,8 @@ class NchoError(Exception):
 
 
 class DomainError(NchoError, ValueError):
-    """An input violates a mathematical domain requirement (e.g. Re(alpha) <= 0)."""
+    """An input violates a domain requirement, e.g. Re(alpha) <= 0 or too coarse a grid."""
 
 
 class NumericRangeError(NchoError, ArithmeticError):
     """An intermediate quantity overflowed or became non-finite."""
-
-
-class GridConfigurationError(NchoError, ValueError):
-    """A numerical grid is too small or too coarse for the requested check."""

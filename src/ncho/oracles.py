@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar
 
 from . import gaussian, oscillator
-from .errors import DomainError, GridConfigurationError, NumericRangeError
+from .errors import DomainError, NumericRangeError
 from .gaussian import TwoModeGaussian
 from .oscillator import OscillatorParams
 
@@ -73,7 +73,7 @@ class GridSpec:
         # both comparisons, and an int above the float range the second.
         # An int of too many digits to print is named, not formatted.
         if not 0 < self.extent <= sys.float_info.max:
-            raise GridConfigurationError(
+            raise DomainError(
                 f"extent must be positive and finite, got {gaussian._shown(self.extent)}"
             )
         try:
@@ -81,7 +81,7 @@ class GridSpec:
         except TypeError:
             enough = False
         if not enough:
-            raise GridConfigurationError(
+            raise DomainError(
                 f"points_per_axis must be an integer >= {MIN_POINTS_PER_AXIS} "
                 f"(got {gaussian._shown(self.points_per_axis)!r}); below that the "
                 "discretization error dominates any physical signal"
@@ -129,8 +129,8 @@ class ValidationReport:
 
 
 # run_validation's grid.  An odd number of points puts x = 0 on the grid,
-# so psi's grid norm is at least 1 and the residual cannot raise
-# GridConfigurationError.
+# so psi's grid norm is at least 1 and the residual's underflow check
+# cannot fail.
 _DEFAULT_GRID = GridSpec()
 
 
@@ -139,11 +139,12 @@ def failing_checks(report: ValidationReport) -> list[str]:
     return [name for name, limit in zip(_CHECKS, _THRESHOLDS) if not getattr(report, name) < limit]
 
 
-def numeric_eigenvalues(omega_matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the dynamical matrix, sorted by (imag, real).
+def numeric_eigenvalues(omega_matrix: np.ndarray) -> list[complex]:
+    """Eigenvalues of the dynamical matrix as a list, sorted by (imag, real).
 
     For a valid oscillator matrix these are {-i*s1, -i*s2, +i*s2, +i*s1}
-    with real parts at roundoff level.
+    with real parts at roundoff level, as Python complexes.  A matrix whose
+    eigenvalues are all real gives Python floats, as numpy gives a real array.
     """
     import numpy as np
 
@@ -151,8 +152,7 @@ def numeric_eigenvalues(omega_matrix: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise DomainError("dynamical matrix contains non-finite entries")
     # Python complex sorts faster than numpy scalars; np.lexsort costs 0.15 MB of RSS.
-    evals = np.linalg.eigvals(m).tolist()
-    return np.array(sorted(evals, key=lambda z: (z.imag, z.real)))
+    return sorted(np.linalg.eigvals(m).tolist(), key=lambda z: (z.imag, z.real))
 
 
 def _require_separable(state: TwoModeGaussian) -> None:
@@ -162,17 +162,6 @@ def _require_separable(state: TwoModeGaussian) -> None:
             f"Re(gamma) = {state.gamma.real} != 0: |psi| does not separate, and no "
             "closed-form ground state has such a cross coefficient"
         )
-
-
-def _residual_axis(state: TwoModeGaussian, grid: GridSpec) -> tuple[np.ndarray, float]:
-    """The residual's grid axis, in lengths of the state's widest diagonal envelope."""
-    _require_separable(state)
-    if grid.extent < MIN_RESIDUAL_EXTENT:
-        raise GridConfigurationError(
-            f"grid extent must be >= {MIN_RESIDUAL_EXTENT} characteristic lengths "
-            f"for a trustworthy residual, got {gaussian._shown(grid.extent)}"
-        )
-    return grid.axis(1.0 / math.sqrt(min(state.alpha.real, state.beta.real)))
 
 
 def schrodinger_residual(params: OscillatorParams, state: TwoModeGaussian, grid: GridSpec) -> float:
@@ -195,13 +184,19 @@ def schrodinger_residual(params: OscillatorParams, state: TwoModeGaussian, grid:
     orthonormal columns drop out), and |psi|'s norm is a product of two
     axis sums: O(N) memory and one (N x 6) QR.
 
-    Raises ``DomainError`` where Re gamma != 0, and
-    ``GridConfigurationError`` where the grid is too narrow or psi
-    underflows to 0 at every grid point.
+    The grid axis is in lengths of the state's widest diagonal envelope.
+    Raises ``DomainError`` where Re gamma != 0, where the grid is too
+    narrow, or where psi underflows to 0 at every grid point.
     """
     import numpy as np
 
-    x, h = _residual_axis(state, grid)
+    _require_separable(state)
+    if grid.extent < MIN_RESIDUAL_EXTENT:
+        raise DomainError(
+            f"grid extent must be >= {MIN_RESIDUAL_EXTENT} characteristic lengths "
+            f"for a trustworthy residual, got {gaussian._shown(grid.extent)}"
+        )
+    x, h = grid.axis(1.0 / math.sqrt(min(state.alpha.real, state.beta.real)))
     canon = oscillator.bopp_shift(params)
     spec = oscillator.mode_spectrum(params)
     e00 = 0.5 * (spec.sigma1 + spec.sigma2)
@@ -232,7 +227,7 @@ def schrodinger_residual(params: OscillatorParams, state: TwoModeGaussian, grid:
     residual_sq = np.vdot(core, core).real
     psi_norm_sq = np.vdot(own[0], own[0]).real * np.vdot(own[1], own[1]).real
     if not psi_norm_sq > 0:
-        raise GridConfigurationError(
+        raise DomainError(
             f"psi underflows to 0 at every point of the {grid.points_per_axis}-point grid"
         )
     return math.sqrt(residual_sq / psi_norm_sq)
@@ -324,7 +319,7 @@ def run_validation(params: OscillatorParams) -> ValidationReport:
     # Inputs far from unit scale can overflow or underflow inside numpy;
     # the finiteness check below reports that once, for every check.
     with np.errstate(all="ignore"):
-        evals = numeric_eigenvalues(oscillator.build_omega_matrix(params)).tolist()
+        evals = numeric_eigenvalues(oscillator.build_omega_matrix(params))
         s1, s2 = spec.sigma1, spec.sigma2  # numeric_eigenvalues' order, as s2 <= s1
         expected = (-1j * s1, -1j * s2, 1j * s2, 1j * s1)
         eigen_residual = _worst([abs(z - e) / abs(e) for z, e in zip(evals, expected)])

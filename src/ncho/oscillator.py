@@ -153,22 +153,6 @@ def build_omega_matrix(params: OscillatorParams) -> np.ndarray:
     )).reshape(4, 4)
 
 
-def _char_factors(m1, m2, alpha1, alpha2, canon: CanonicalSystem):
-    """The two positive factors whose product is the quartic constant c.
-
-    c1 = w2^2 - theta^2*(M1/M2)*alpha2^2 and
-    c2 = w1^2 - theta^2*(M2/M1)*alpha1^2.  Substituting 1/M1 and 1/M2
-    turns the differences into the products used here,
-    c1 = 2*alpha2*M1/(m1*M2) and c2 = 2*alpha1*M2/(m2*M1), which do not
-    cancel at large theta; c1*c2 = c = 4*alpha1*alpha2/(m1*m2) for every
-    theta.
-    """
-    ratio = canon.big_m1 / canon.big_m2
-    c1 = 2 * alpha2 * ratio / m1
-    c2 = 2 * alpha1 / (m2 * ratio)
-    return c1, c2
-
-
 def _quartic_b(alpha1, alpha2, th2, canon: CanonicalSystem):
     """b of the quartic lambda^4 + b*lambda^2 + c, on floats or arrays."""
     return canon.omega1_sq + canon.omega2_sq + 2 * th2 * alpha1 * alpha2
@@ -265,8 +249,12 @@ def ground_state_lambda_closed(
     gamma = L12 = L21: L11 and L22 are real and positive, and L12 is purely
     imaginary and carries all the entanglement.
 
-    Using the positive factors c1, c2 of the quartic constant
-    (sigma1*sigma2 = sqrt(c1*c2)), the printed expressions
+    The quartic constant c = 4*a1*a2/(m1*m2) has the positive factors
+    c1 = w2^2 - th^2 (M1/M2) a2^2 and c2 = w1^2 - th^2 (M2/M1) a1^2, with
+    sigma1*sigma2 = sqrt(c1*c2) for every theta.  Substituting 1/M1 and
+    1/M2 turns the differences, which cancel at large theta, into the
+    products c1 = 2 a2 M1/(m1 M2) and c2 = 2 a1 M2/(m2 M1) used here.
+    With them the printed expressions
 
         L11 = M1 M2 s1 s2 (s1+s2) / [M2(w2^2 + s1 s2) - th^2 M1 a2^2]
         L22 = M2 (M2 w2^2 - M1 th^2 a2^2)(s1+s2) / [...]
@@ -288,7 +276,9 @@ def ground_state_lambda_closed(
     """
     canon = bopp_shift(params)
     try:
-        c1, c2 = _char_factors(params.m1, params.m2, params.alpha1, params.alpha2, canon)
+        ratio = canon.big_m1 / canon.big_m2
+        c1 = 2 * params.alpha2 * ratio / params.m1
+        c2 = 2 * params.alpha1 / (params.m2 * ratio)
         r1, r2 = math.sqrt(c1), math.sqrt(c2)
         sig_sum = spectrum.sigma1 + spectrum.sigma2
         lam11 = canon.big_m1 * r2 * sig_sum / (r1 + r2)
@@ -340,10 +330,15 @@ def es_closed_form(params: OscillatorParams) -> float:
     finite for every theta.  Raises ``NumericRangeError`` where a1 m2 or
     a2 m1 leaves the float range so far that E_S is not finite.
     """
+    return _simon_float(params, params.theta)
+
+
+def _simon_float(params: OscillatorParams, theta: float) -> float:
+    """``_simon`` on the float path at THETA, which may be inf; raises where E_S is not finite."""
     p = params
     try:
-        e_s = _simon(p.m1, p.m2, p.alpha1, p.alpha2, p.theta, _FLOAT_OPS)
-    except ZeroDivisionError:  # sqrt(a1 m2) + sqrt(a2 m1) underflowed to 0
+        e_s = _simon(p.m1, p.m2, p.alpha1, p.alpha2, theta, _FLOAT_OPS)
+    except ZeroDivisionError:  # sqrt(a1 m2) + sqrt(a2 m1), or 1/z + 2 q, underflowed to 0
         e_s = math.nan
     _require_es(e_s, params)
     return e_s
@@ -403,21 +398,17 @@ def asymptotic_bounds(params: OscillatorParams) -> AsymptoticBounds:
     E_S(inf) = -(1/16) (sqrt(a1 m2) - sqrt(a2 m1))^2 / sqrt(a1 m2 a2 m1),
     Omega0 = (sqrt(a1 m2) + sqrt(a2 m1)) / (4 (a1 m2 a2 m1)^(1/4)), and
     the E_F bound is the formation entropy evaluated at Omega0.
-    Omega0^2 = 1/4 - E_S(inf) holds identically.  E_S(inf) = -d^2/16 with
-    d = (x - y) / (sqrt(x) sqrt(y)), x = sqrt(a1 m2) and y = sqrt(a2 m1), so
-    the product x*y, which can overflow where the results do not, is never
-    formed; Omega0 and the E_F bound come from one
-    ``entanglement_of_formation`` call at E_S(inf).  Raises
+    Omega0^2 = 1/4 - E_S(inf) holds identically.  E_S(inf) is
+    ``es_closed_form``'s evaluation at theta = inf, where z = inf and
+    ``_simon`` reads -u/(16 q); there is no second formula to round
+    differently.  Correctly rounded operations are monotone: past z = 1
+    E_S and its limit share every rounding up to fl(1/z + 2 q) >= fl(2 q),
+    and below it |E_S| <= u/8 <= u/(16 q), so E_S >= E_S(inf) and
+    Omega <= Omega0 hold exactly in floats.  Omega0 and the E_F bound come
+    from one ``entanglement_of_formation`` call at E_S(inf).  Raises
     ``NumericRangeError`` where E_S(inf) is not finite.
     """
-    x = math.sqrt(params.alpha1 * params.m2)
-    y = math.sqrt(params.alpha2 * params.m1)
-    try:
-        d = (x - y) / (math.sqrt(x) * math.sqrt(y))
-        e_s_limit = -d * d / 16  # d*d: inf, not OverflowError, past the range
-    except ZeroDivisionError:  # x or y underflowed to 0
-        e_s_limit = math.nan
-    _require_es(e_s_limit, params)
+    e_s_limit = _simon_float(params, math.inf)
     omega0, e_f_bound = gaussian.entanglement_of_formation(e_s_limit)
     return tuple.__new__(AsymptoticBounds, (e_s_limit, omega0, e_f_bound))
 

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import math
+import random
 
 import numpy as np
 
@@ -21,6 +22,24 @@ def random_params(rng, theta_low=0.0, theta_high=5.0) -> OscillatorParams:
         alpha2=rng.uniform(0.1, 10.0),
         theta=rng.uniform(theta_low, theta_high),
     )
+
+
+def census_params() -> list[OscillatorParams]:
+    """The census box: log-uniform masses and stiffnesses over 1e-2...1e2, theta over 1e-3...1e2."""
+    rng = random.Random(7)
+    return [
+        OscillatorParams(*(10 ** rng.uniform(-2, 2) for _ in range(4)), 10 ** rng.uniform(-3, 2))
+        for _ in range(2000)
+    ]
+
+
+def log_uniform_params(seed: int, decades: float, count: int) -> list[OscillatorParams]:
+    """COUNT points whose five inputs are log-uniform over 1e-DECADES...1e+DECADES."""
+    rng = random.Random(seed)
+    return [
+        OscillatorParams(*(10 ** rng.uniform(-decades, decades) for _ in range(5)))
+        for _ in range(count)
+    ]
 
 
 def random_state(rng, cross_fraction=0.8) -> TwoModeGaussian:

@@ -124,7 +124,7 @@ def test_05_spectrum_oracle():
     for _ in range(500):
         p = random_params(rng)
         s = mode_spectrum(p)
-        evals = numeric_eigenvalues(build_omega_matrix(p))
+        evals = np.array(numeric_eigenvalues(build_omega_matrix(p)))
         expected = np.array([-1j * s.sigma1, -1j * s.sigma2, 1j * s.sigma2, 1j * s.sigma1])
         ok = ok and np.abs(evals - expected).max() < 1e-8 * s.sigma1
         ok = ok and abs(s.sigma1**2 + s.sigma2**2 - s.b) < 1e-10 * s.b

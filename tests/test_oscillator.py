@@ -33,7 +33,8 @@ from ncho import (
     mode_spectrum,
     simon_es,
 )
-from support import fig1, random_params
+from ncho.cli import analyze_report
+from support import census_params, fig1, log_uniform_params, random_params
 
 
 # Valid floats, the edges of each field's range and values beyond them.
@@ -484,8 +485,7 @@ class TestSimonClosedForm:
 
     @pytest.mark.parametrize("theta", [1e154, 1.4e154, 1e300])
     def test_saturates_where_theta_squared_overflows(self, theta):
-        limit = asymptotic_bounds(fig1(0.0)).e_s_limit
-        assert abs(es_closed_form(fig1(theta)) - limit) <= math.ulp(limit)
+        assert es_closed_form(fig1(theta)) == asymptotic_bounds(fig1(0.0)).e_s_limit
 
     def test_finite_at_extreme_inputs(self):
         p = OscillatorParams(1.6e22, 8.9e113, 2.2e139, 1e-4, 1e-18)
@@ -551,6 +551,34 @@ class TestAsymptoticBounds:
         assert b.e_s_limit == pytest.approx(-0.007582521472477661, rel=1e-13)
         assert b.omega0 == pytest.approx(0.5075258825641089, rel=1e-13)
         assert b.e_f_bound == pytest.approx(0.044351235568716244, rel=1e-12)
+
+    def test_fig1_saturates_exactly(self):
+        # 1/z is far below half an ulp of 2q at theta = 1e10, so E_S rounds
+        # to its limit; a second formula for the limit read one ulp lower.
+        r = analyze_report(fig1(1e10))
+        assert r["e_s"] == r["e_s_limit"] and r["omega"] == r["omega0"]
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            census_params,
+            lambda: log_uniform_params(30, 30, 20_000),
+            lambda: log_uniform_params(300, 300, 20_000),
+        ],
+        ids=["census", "1e+-30", "1e+-300"],
+    )
+    def test_report_never_passes_its_own_limits(self, draw):
+        # E_S and its limit share every rounding but 1/z + 2q >= 2q, and
+        # correctly rounded operations are monotone: no tolerance is needed.
+        returned = 0
+        for p in draw():
+            try:
+                r = analyze_report(p)
+            except NumericRangeError:
+                continue
+            returned += 1
+            assert r["e_s"] >= r["e_s_limit"] and r["omega"] <= r["omega0"], p
+        assert returned >= 2_000
 
     def test_limit_matches_large_theta(self):
         b = asymptotic_bounds(fig1(1.0))
